@@ -9,22 +9,28 @@
 // --small shrinks the app set and the simulated cycle window so the bench
 // finishes in seconds on a CI runner (the speedup ratios are noisier but the
 // bit-identity check is just as strict); OUT.json defaults to
-// BENCH_sweep.json in the current directory.
+// BENCH_sweep.json in the current directory.  Any other flag prints the
+// usage and exits 2 (a typo must not silently run the full preset);
+// --help prints it and exits 0.
 //
 // Reading the output: `speedup.fast_vs_reference_1t` isolates the simulator
 // fast path (same single thread, worklist + candidate masks + idle skip vs
 // the naive loops); `speedup.total_best` additionally includes thread
 // scaling, which on a single-core host is ~the same number.
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <filesystem>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.hpp"
 #include "common/json_lite.hpp"
 #include "common/parallel_for.hpp"
+#include "common/stats.hpp"
 #include "sysmodel/net_eval.hpp"
 #include "sysmodel/sweep.hpp"
 #include "workload/profile.hpp"
@@ -51,6 +57,13 @@ bool reports_identical(const sysmodel::SystemReport& a,
          a.net.avg_latency_cycles == b.net.avg_latency_cycles;
 }
 
+constexpr const char* kUsage =
+    "usage: bench_sweep_scaling [--small] [--trace-out FILE] "
+    "[--metrics-out FILE] [OUT.json]\n";
+
+/// Timed trials per fidelity-ladder sweep: the gate reads the median.
+constexpr std::size_t kFidelityTrials = 5;
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -60,12 +73,22 @@ int main(int argc, char** argv) {
   bench::TelemetryScope telemetry{argc, argv};
   bool small = false;
   std::string out_path = "BENCH_sweep.json";
+  bool have_out = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--small") {
       small = true;
+    } else if (arg == "--help" || arg == "-h") {
+      std::cout << kUsage;
+      return 0;
+    } else if (arg.rfind("-", 0) == 0 || have_out) {
+      std::cerr << "bench_sweep_scaling: unexpected argument '" << arg
+                << "'\n"
+                << kUsage;
+      return 2;
     } else {
       out_path = arg;
+      have_out = true;
     }
   }
 
@@ -161,38 +184,84 @@ int main(int argc, char** argv) {
   }
   const workload::AppProfile& space_profile = profiles.front();
 
-  // Warm the shared platform cache (untimed): one VFI design flow per
-  // system kind, reused by every point of both sweeps.
-  sysmodel::PlatformCache platforms;
-  for (const auto& pt : space) {
-    platforms.get(space_profile, pt.params, sim.vf_table());
-  }
+  // Each trial shares one warm platform cache (untimed) between its two
+  // sweeps.  The cache is fresh per trial, so no trial inherits another's
+  // analytical-model memo, and rebuilt from VFI designs kept in a scratch
+  // store, so the design flow runs once per system kind.
+  std::error_code designs_ec;
+  const std::filesystem::path designs_root =
+      std::filesystem::temp_directory_path() / "vfimr_bench_sweep_designs";
+  std::filesystem::remove_all(designs_root, designs_ec);
+  auto designs = std::make_unique<store::EvalStore>(designs_root.string());
+  auto warm_platforms = [&](sysmodel::PlatformCache& platforms) {
+    platforms.attach_store(designs.get());
+    for (const auto& pt : space) {
+      platforms.get(space_profile, pt.params, sim.vf_table());
+    }
+  };
 
-  sysmodel::NetworkEvaluator cycle_evaluator;
-  std::vector<sysmodel::SweepPoint> cycle_space = space;
-  for (auto& pt : cycle_space) {
-    pt.params.fidelity = sysmodel::Fidelity::kCycleAccurate;
-    pt.params.net_eval = &cycle_evaluator;
-    pt.params.platform_cache = &platforms;
+  // Both sweeps run kFidelityTrials times at one thread count, alternating
+  // so host-speed drift hits them alike, each trial with fresh evaluators
+  // (a warm evaluator would serve the repeat from memory).  The gate reads
+  // the median of the per-trial speedups; the spread is recorded with it.
+  const std::size_t fidelity_threads = default_parallelism();
+  auto timed_design_space = [&](sysmodel::Fidelity fidelity,
+                                std::size_t promote_top,
+                                sysmodel::NetworkEvaluator& evaluator,
+                                sysmodel::PlatformCache& platforms,
+                                double& seconds) {
+    std::vector<sysmodel::SweepPoint> points = space;
+    for (auto& pt : points) {
+      pt.params.fidelity = fidelity;
+      pt.params.net_eval = &evaluator;
+      pt.params.platform_cache = &platforms;
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    auto result = sysmodel::sweep_design_space(space_profile, sim, points,
+                                               promote_top, fidelity_threads);
+    seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                            t0)
+                  .count();
+    return result;
+  };
+  std::vector<double> cycle_times(kFidelityTrials);
+  std::vector<double> auto_times(kFidelityTrials);
+  std::vector<double> speedups(kFidelityTrials);
+  sysmodel::DesignSpaceResult cycle_run;
+  sysmodel::DesignSpaceResult auto_run;
+  sysmodel::NetworkEvaluator::Stats stats;
+  bool results_agree = true;   // every trial found the same frontier
+  bool counters_agree = true;  // ... with the same simulations and hits
+  for (std::size_t t = 0; t < kFidelityTrials; ++t) {
+    sysmodel::PlatformCache platforms;
+    warm_platforms(platforms);
+    sysmodel::NetworkEvaluator cycle_evaluator;
+    sysmodel::NetworkEvaluator evaluator;
+    const auto c = timed_design_space(sysmodel::Fidelity::kCycleAccurate, 0,
+                                      cycle_evaluator, platforms,
+                                      cycle_times[t]);
+    const auto a = timed_design_space(sysmodel::Fidelity::kAuto, 1,
+                                      evaluator, platforms, auto_times[t]);
+    speedups[t] = cycle_times[t] / auto_times[t];
+    if (t == 0) {
+      cycle_run = c;
+      auto_run = a;
+      stats = evaluator.stats();
+    }
+    results_agree =
+        results_agree && a.argmin_confirmed == auto_run.argmin_confirmed &&
+        c.argmin_explored == cycle_run.argmin_explored &&
+        a.points[a.argmin_confirmed].confirmed.edp_js() ==
+            auto_run.points[auto_run.argmin_confirmed].confirmed.edp_js();
+    counters_agree = counters_agree &&
+                     evaluator.stats().misses == stats.misses &&
+                     evaluator.stats().hits == stats.hits;
   }
-  const auto c0 = std::chrono::steady_clock::now();
-  const auto cycle_run = sysmodel::sweep_design_space(
-      space_profile, sim, cycle_space, 0, default_parallelism());
-  const auto c1 = std::chrono::steady_clock::now();
-  const double cycle_s = std::chrono::duration<double>(c1 - c0).count();
-
-  sysmodel::NetworkEvaluator evaluator;
-  std::vector<sysmodel::SweepPoint> auto_space = space;
-  for (auto& pt : auto_space) {
-    pt.params.fidelity = sysmodel::Fidelity::kAuto;
-    pt.params.net_eval = &evaluator;
-    pt.params.platform_cache = &platforms;
-  }
-  const auto a0 = std::chrono::steady_clock::now();
-  const auto auto_run = sysmodel::sweep_design_space(
-      space_profile, sim, auto_space, 1, default_parallelism());
-  const auto a1 = std::chrono::steady_clock::now();
-  const double auto_s = std::chrono::duration<double>(a1 - a0).count();
+  designs.reset();
+  std::filesystem::remove_all(designs_root, designs_ec);
+  const double cycle_s = median(cycle_times);
+  const double auto_s = median(auto_times);
+  const double speedup_auto = median(speedups);
 
   double lat_mape = 0.0;
   double edp_mape = 0.0;
@@ -210,21 +279,32 @@ int main(int argc, char** argv) {
   // The Auto frontier must be the cycle-accurate argmin, and its confirmed
   // report must BE a cycle-accurate evaluation of that point.
   const bool frontier_match =
+      results_agree &&
       auto_run.argmin_confirmed == cycle_run.argmin_explored &&
       auto_run.points[auto_run.argmin_confirmed].promoted &&
       auto_run.points[auto_run.argmin_confirmed].confirmed.edp_js() ==
           cycle_run.points[cycle_run.argmin_explored].explored.edp_js();
-  const auto stats = evaluator.stats();
   const bool counters_consistent =
+      counters_agree &&
       stats.analytical_hits + stats.cycle_hits == stats.hits &&
       stats.analytical_misses + stats.cycle_misses == stats.misses &&
       stats.promotions == auto_run.promotions && stats.cycle_misses > 0 &&
       stats.analytical_misses > 0;
 
   m["bench_sweep.fidelity.points"] = static_cast<double>(space.size());
+  m["bench_sweep.fidelity.threads"] = static_cast<double>(fidelity_threads);
+  m["bench_sweep.fidelity.trials"] = static_cast<double>(kFidelityTrials);
   m["bench_sweep.fidelity.cycle_seconds"] = cycle_s;
   m["bench_sweep.fidelity.auto_seconds"] = auto_s;
-  m["bench_sweep.fidelity.speedup_auto"] = cycle_s / auto_s;
+  m["bench_sweep.fidelity.cycle_seconds_iqr"] =
+      percentile(cycle_times, 75.0) - percentile(cycle_times, 25.0);
+  m["bench_sweep.fidelity.auto_seconds_iqr"] =
+      percentile(auto_times, 75.0) - percentile(auto_times, 25.0);
+  m["bench_sweep.fidelity.speedup_auto"] = speedup_auto;
+  m["bench_sweep.fidelity.speedup_min"] =
+      *std::min_element(speedups.begin(), speedups.end());
+  m["bench_sweep.fidelity.speedup_max"] =
+      *std::max_element(speedups.begin(), speedups.end());
   m["bench_sweep.fidelity.latency_mape"] = lat_mape;
   m["bench_sweep.fidelity.edp_mape"] = edp_mape;
   m["bench_sweep.fidelity.frontier_match"] = frontier_match ? 1.0 : 0.0;
@@ -232,10 +312,14 @@ int main(int argc, char** argv) {
       static_cast<double>(auto_run.promotions);
   m["bench_sweep.fidelity.counters_consistent"] =
       counters_consistent ? 1.0 : 0.0;
-  std::cout << "cycle-accurate, " << space.size() << " points:  " << cycle_s
+  std::cout << "median of " << kFidelityTrials << " trials at "
+            << fidelity_threads << " thread(s)\n"
+            << "cycle-accurate, " << space.size() << " points:  " << cycle_s
             << " s\n"
             << "Auto (analytical + confirm):  " << auto_s << " s  ("
-            << cycle_s / auto_s << "x)\n"
+            << speedup_auto << "x, trials "
+            << m["bench_sweep.fidelity.speedup_min"] << "x.."
+            << m["bench_sweep.fidelity.speedup_max"] << "x)\n"
             << "latency MAPE vs cycle band:   " << lat_mape * 100.0 << "%\n"
             << "EDP MAPE vs cycle band:       " << edp_mape * 100.0 << "%\n"
             << "frontier match:               "

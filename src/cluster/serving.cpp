@@ -49,9 +49,14 @@ std::string power_cap_name(PowerCapMode mode) {
   return "?";
 }
 
-std::string format_quantile(const P2Quantile& q, int digits) {
+std::string format_quantile(const QuantileEstimate& q, int digits) {
   if (q.count() == 0 || std::isnan(q.value())) return "n/a";
   return fmt(q.value(), digits);
+}
+
+std::string format_quantile(const P2Quantile& q, int digits) {
+  return format_quantile(QuantileEstimate{q.p(), q.count(), q.value()},
+                         digits);
 }
 
 std::size_t FleetConfig::instance_count() const {
@@ -249,13 +254,21 @@ std::uint64_t digest_mix(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
-void record_completion(SlaStats& s, double latency_s, double energy_j) {
+/// Sojourn-time quantile estimator behind SlaStats::p50 / p99 / p999.
+P2Quantiles sla_quantiles() { return P2Quantiles{{0.50, 0.99, 0.999}}; }
+
+void record_completion(SlaStats& s, P2Quantiles& sojourn, double latency_s,
+                       double energy_j) {
   ++s.completed;
   s.latency_s.add(latency_s);
   s.energy_j.add(energy_j);
-  s.p50.add(latency_s);
-  s.p99.add(latency_s);
-  s.p999.add(latency_s);
+  sojourn.add(latency_s);
+}
+
+void read_quantiles(SlaStats& s, const P2Quantiles& sojourn) {
+  s.p50 = sojourn.estimate(0);
+  s.p99 = sojourn.estimate(1);
+  s.p999 = sojourn.estimate(2);
 }
 
 }  // namespace
@@ -300,6 +313,8 @@ ClusterReport ClusterSim::run(const std::vector<JobArrival>& arrivals,
   ClusterReport report;
   report.app_order = matrix.app_order();
   report.per_app.assign(matrix.apps(), SlaStats{});
+  P2Quantiles fleet_sojourn = sla_quantiles();
+  std::vector<P2Quantiles> app_sojourn(matrix.apps(), sla_quantiles());
   report.instances = insts.size();
   const double hist_max = fleet.latency_hist_max_s > 0.0
                               ? fleet.latency_hist_max_s
@@ -641,9 +656,10 @@ ClusterReport ClusterSim::run(const std::vector<JobArrival>& arrivals,
       job.completed = true;
       job.live[a.slot] = kNone32;
       const double latency = now - job.arrival_s;
-      record_completion(report.fleet, latency, a.actual_energy_j);
-      record_completion(report.per_app[job.app_row], latency,
+      record_completion(report.fleet, fleet_sojourn, latency,
                         a.actual_energy_j);
+      record_completion(report.per_app[job.app_row],
+                        app_sojourn[job.app_row], latency, a.actual_energy_j);
       report.latency_hist.add(latency);
       if (job.deadline_abs_s > 0.0 && now > job.deadline_abs_s) {
         ++report.fleet.deadline_misses;
@@ -873,6 +889,10 @@ ClusterReport ClusterSim::run(const std::vector<JobArrival>& arrivals,
     try_start(static_cast<std::uint32_t>(p.best), now);
   }
 
+  read_quantiles(report.fleet, fleet_sojourn);
+  for (std::size_t a = 0; a < report.per_app.size(); ++a) {
+    read_quantiles(report.per_app[a], app_sojourn[a]);
+  }
   report.down_seconds = fleet.faults.down_seconds(report.horizon_s);
   if (obs != nullptr) {
     report.obs = obs->finalize(report.horizon_s, fleet.faults);

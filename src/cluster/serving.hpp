@@ -166,13 +166,17 @@ struct SlaStats {
   Accumulator latency_s;  ///< sojourn time (completion - arrival)
   Accumulator queue_s;    ///< queueing delay (start - arrival)
   Accumulator energy_j;   ///< platform energy per completed job
-  P2Quantile p50{0.50};
-  P2Quantile p99{0.99};
-  P2Quantile p999{0.999};
+  /// Sojourn-time percentiles, read at the end of the run off one
+  /// P2Quantiles over {p50, p99, p999}: shared markers keep them ordered,
+  /// p50 <= p99 <= p999, by construction.  NaN until a job completes.
+  QuantileEstimate p50{0.50};
+  QuantileEstimate p99{0.99};
+  QuantileEstimate p999{0.999};
 };
 
 /// Report formatting for a streaming quantile: "n/a" when the sampler is
 /// empty (the NaN contract of P2Quantile::value), fixed-point otherwise.
+std::string format_quantile(const QuantileEstimate& q, int digits = 4);
 std::string format_quantile(const P2Quantile& q, int digits = 4);
 
 struct ClusterReport {

@@ -182,50 +182,67 @@ double Histogram::bucket_lo(std::size_t i) const {
 
 double Histogram::bucket_hi(std::size_t i) const { return bucket_lo(i + 1); }
 
-P2Quantile::P2Quantile(double p) : p_{p} {
-  if (!(p > 0.0 && p < 1.0)) {
-    throw std::invalid_argument("P2Quantile needs p in (0, 1)");
+P2Quantiles::P2Quantiles(std::vector<double> ps) : ps_{std::move(ps)} {
+  if (ps_.empty()) {
+    throw std::invalid_argument("P2Quantiles needs at least one quantile");
   }
-  dpos_[0] = 0.0;
-  dpos_[1] = p / 2.0;
-  dpos_[2] = p;
-  dpos_[3] = (1.0 + p) / 2.0;
-  dpos_[4] = 1.0;
+  for (std::size_t k = 0; k < ps_.size(); ++k) {
+    if (!(ps_[k] > 0.0 && ps_[k] < 1.0)) {
+      throw std::invalid_argument("P2Quantile needs p in (0, 1)");
+    }
+    if (k > 0 && !(ps_[k] > ps_[k - 1])) {
+      throw std::invalid_argument("P2Quantiles needs increasing quantiles");
+    }
+  }
+  // Marker quantiles: 0, p1/2, p1, (p1+p2)/2, p2, ..., pm, (pm+1)/2, 1.
+  dpos_.push_back(0.0);
+  double prev = 0.0;
+  for (const double p : ps_) {
+    dpos_.push_back((prev + p) / 2.0);
+    dpos_.push_back(p);
+    prev = p;
+  }
+  dpos_.push_back((prev + 1.0) / 2.0);
+  dpos_.push_back(1.0);
+  q_.reserve(dpos_.size());
 }
 
-void P2Quantile::add(double x) {
-  if (n_ < 5) {
-    q_[n_++] = x;
-    if (n_ == 5) {
-      std::sort(q_, q_ + 5);
-      for (int i = 0; i < 5; ++i) pos_[i] = static_cast<double>(i + 1);
-      desired_[0] = 1.0;
-      desired_[1] = 1.0 + 2.0 * p_;
-      desired_[2] = 1.0 + 4.0 * p_;
-      desired_[3] = 3.0 + 2.0 * p_;
-      desired_[4] = 5.0;
+void P2Quantiles::add(double x) {
+  const std::size_t markers = dpos_.size();
+  if (n_ < markers) {
+    q_.push_back(x);
+    ++n_;
+    if (n_ == markers) {
+      std::sort(q_.begin(), q_.end());
+      pos_.resize(markers);
+      desired_.resize(markers);
+      for (std::size_t i = 0; i < markers; ++i) {
+        pos_[i] = static_cast<double>(i + 1);
+        desired_[i] = 1.0 + static_cast<double>(markers - 1) * dpos_[i];
+      }
     }
     return;
   }
   ++n_;
 
   // Locate the cell containing x, extending the extreme markers if needed.
-  int k;
+  const std::size_t last = markers - 1;
+  std::size_t k;
   if (x < q_[0]) {
     q_[0] = x;
     k = 0;
-  } else if (x >= q_[4]) {
-    q_[4] = x;
-    k = 3;
+  } else if (x >= q_[last]) {
+    q_[last] = x;
+    k = last - 1;
   } else {
     k = 0;
-    while (k < 3 && x >= q_[k + 1]) ++k;
+    while (k < last - 1 && x >= q_[k + 1]) ++k;
   }
-  for (int i = k + 1; i < 5; ++i) pos_[i] += 1.0;
-  for (int i = 0; i < 5; ++i) desired_[i] += dpos_[i];
+  for (std::size_t i = k + 1; i < markers; ++i) pos_[i] += 1.0;
+  for (std::size_t i = 0; i < markers; ++i) desired_[i] += dpos_[i];
 
   // Adjust interior markers toward their desired positions.
-  for (int i = 1; i <= 3; ++i) {
+  for (std::size_t i = 1; i < last; ++i) {
     const double d = desired_[i] - pos_[i];
     if ((d >= 1.0 && pos_[i + 1] - pos_[i] > 1.0) ||
         (d <= -1.0 && pos_[i - 1] - pos_[i] < -1.0)) {
@@ -242,22 +259,33 @@ void P2Quantile::add(double x) {
       if (q_[i - 1] < parabolic && parabolic < q_[i + 1]) {
         q_[i] = parabolic;
       } else {
-        const int j = s > 0.0 ? i + 1 : i - 1;
-        q_[i] += s * (q_[j] - q_[i]) / (pos_[j] - pos_[i]);
+        const std::size_t j = s > 0.0 ? i + 1 : i - 1;
+        // Clamped: a rounding overshoot must not carry the marker past
+        // the neighbour it moves toward.
+        const double linear =
+            q_[i] + s * (q_[j] - q_[i]) / (pos_[j] - pos_[i]);
+        q_[i] = s > 0.0 ? std::min(linear, q_[j]) : std::max(linear, q_[j]);
       }
       pos_[i] = np;
     }
   }
 }
 
-double P2Quantile::value() const {
+double P2Quantiles::value(std::size_t k) const {
+  if (k >= ps_.size()) {
+    throw std::out_of_range("P2Quantiles::value index out of range");
+  }
   // NaN, not 0.0: an empty sampler has no quantile, and callers that print
   // SLA percentiles must be able to tell "no samples" from a true zero.
   if (n_ == 0) return std::numeric_limits<double>::quiet_NaN();
-  if (n_ >= 5) return q_[2];
-  // Exact small-sample quantile over the stored observations.
-  std::vector<double> xs(q_, q_ + n_);
-  return percentile(std::move(xs), p_ * 100.0);
+  if (n_ >= dpos_.size()) return q_[2 * k + 2];
+  // Exact small-sample quantiles over the stored observations.  The
+  // running max keeps them ordered where interpolation rounds unevenly.
+  double v = -std::numeric_limits<double>::infinity();
+  for (std::size_t j = 0; j <= k; ++j) {
+    v = std::max(v, percentile(q_, ps_[j] * 100.0));
+  }
+  return v;
 }
 
 std::string Histogram::to_string() const {

@@ -4,6 +4,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -122,28 +123,66 @@ class Histogram {
   double sum_ = 0.0;
 };
 
-/// P² streaming quantile estimator (Jain & Chlamtac, CACM 1985): tracks a
-/// single quantile in O(1) memory with five markers adjusted by parabolic
-/// interpolation.  Exact for fewer than five samples.  Complements
-/// Histogram::quantile when the sample range is not known up front.
-class P2Quantile {
+/// A quantile read off a streaming estimator: its probability, the sample
+/// count it covers and the estimate — NaN when no sample was recorded.
+struct QuantileEstimate {
+  double p = 0.0;
+  std::uint64_t n = 0;
+  double estimate = std::numeric_limits<double>::quiet_NaN();
+
+  double value() const { return estimate; }
+  std::uint64_t count() const { return n; }
+};
+
+/// Multi-quantile P² estimator (Raatikainen, "Simultaneous estimation of
+/// several percentiles", Simulation 1987): tracks m quantiles p_1 < ... <
+/// p_m in O(m) memory with 2m + 3 shared markers — the extremes, the m
+/// targets and the midpoints between neighbours — each adjusted by the P²
+/// parabolic rule (Jain & Chlamtac, CACM 1985).  Marker heights never
+/// cross, so value(0) <= value(1) <= ... holds by construction; three
+/// independent single-quantile estimators give no such guarantee (a p99
+/// marker can overtake a p999 one on a growing backlog).  Exact below
+/// 2m + 3 samples.
+class P2Quantiles {
  public:
-  explicit P2Quantile(double p);  // p in (0, 1)
+  /// ps strictly increasing, each in (0, 1); throws std::invalid_argument.
+  explicit P2Quantiles(std::vector<double> ps);
 
   void add(double x);
-  /// Current quantile estimate; NaN before the first sample (an empty
+  /// Estimate of quantile ps[k]; NaN before the first sample (an empty
   /// sampler has no quantile — check count() or std::isnan before printing).
-  double value() const;
+  double value(std::size_t k) const;
   std::uint64_t count() const { return n_; }
-  double p() const { return p_; }
+  std::size_t size() const { return ps_.size(); }
+  double p(std::size_t k) const { return ps_.at(k); }
+  QuantileEstimate estimate(std::size_t k) const {
+    return {p(k), n_, value(k)};
+  }
 
  private:
-  double p_;
+  std::vector<double> ps_;
   std::uint64_t n_ = 0;
-  double q_[5] = {};        // marker heights
-  double pos_[5] = {};      // actual marker positions (1-based)
-  double desired_[5] = {};  // desired marker positions
-  double dpos_[5] = {};     // desired-position increments per sample
+  std::vector<double> q_;        // marker heights (first samples until full)
+  std::vector<double> pos_;      // actual marker positions (1-based)
+  std::vector<double> desired_;  // desired marker positions
+  std::vector<double> dpos_;     // desired-position increments per sample
+};
+
+/// Single-quantile P² estimator: P2Quantiles with one target (five
+/// markers).  Complements Histogram::quantile when the sample range is not
+/// known up front.
+class P2Quantile {
+ public:
+  explicit P2Quantile(double p) : q_{{p}} {}  // p in (0, 1)
+
+  void add(double x) { q_.add(x); }
+  /// Current quantile estimate; NaN before the first sample.
+  double value() const { return q_.value(0); }
+  std::uint64_t count() const { return q_.count(); }
+  double p() const { return q_.p(0); }
+
+ private:
+  P2Quantiles q_;
 };
 
 }  // namespace vfimr

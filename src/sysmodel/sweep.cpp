@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "common/parallel_for.hpp"
 #include "common/require.hpp"
@@ -322,19 +323,18 @@ DesignSpaceResult sweep_design_space(const workload::AppProfile& profile,
   // One NVFI-mesh reference per band, derived from the first point's
   // params: exploration compares analytical latencies against an analytical
   // baseline (errors largely cancel in the ratio), confirmations against a
-  // cycle-accurate one.
+  // cycle-accurate one.  The cycle reference runs before exploration only
+  // when some point is explored in the cycle band; a pure Auto sweep
+  // defers it into the promotion set below.
   bool need_analytical = false;
-  bool need_cycle = false;
-  bool any_auto = false;
+  bool explore_cycle = false;
   for (const SweepPoint& p : points) {
     if (analytical_band(p.params.fidelity)) {
       need_analytical = true;
-      any_auto = any_auto || p.params.fidelity == Fidelity::kAuto;
     } else {
-      need_cycle = true;
+      explore_cycle = true;
     }
   }
-  need_cycle = need_cycle || (any_auto && promote_top > 0);
 
   PhaseBaselines analytical_baseline;
   PhaseBaselines cycle_baseline;
@@ -344,11 +344,11 @@ DesignSpaceResult sweep_design_space(const workload::AppProfile& profile,
     p.fidelity = Fidelity::kAnalytical;
     analytical_baseline = phase_baselines(sim.run(profile, p));
   }
-  if (need_cycle) {
-    PlatformParams p = points.front().params;
-    p.kind = SystemKind::kNvfiMesh;
-    p.fidelity = Fidelity::kCycleAccurate;
-    cycle_baseline = phase_baselines(sim.run(profile, p));
+  PlatformParams cycle_reference = points.front().params;
+  cycle_reference.kind = SystemKind::kNvfiMesh;
+  cycle_reference.fidelity = Fidelity::kCycleAccurate;
+  if (explore_cycle) {
+    cycle_baseline = phase_baselines(sim.run(profile, cycle_reference));
   }
 
   parallel_for(points.size(), threads, [&](std::size_t i) {
@@ -379,31 +379,83 @@ DesignSpaceResult sweep_design_space(const workload::AppProfile& profile,
                             out.points[b].explored.edp_js();
                    });
   if (eligible.size() > promote_top) eligible.resize(promote_top);
-
-  parallel_for(eligible.size(), threads, [&](std::size_t k) {
-    const std::size_t i = eligible[k];
-    PlatformParams confirm = points[i].params;
-    confirm.fidelity = Fidelity::kCycleAccurate;
-    out.points[i].confirmed = sim.run(profile, confirm, cycle_baseline);
-    out.points[i].promoted = true;
-  });
   out.promotions = eligible.size();
-  if (!eligible.empty()) {
-    NetworkEvaluator* evaluator = points.front().params.net_eval;
-    for (std::size_t k = 0; k < eligible.size(); ++k) {
-      if (evaluator != nullptr) {
-        evaluator->note_promotion(points.front().params.telemetry);
-      }
-    }
-    out.argmin_confirmed = eligible.front();
-    for (std::size_t i : eligible) {
-      if (out.points[i].confirmed.edp_js() <
-          out.points[out.argmin_confirmed].confirmed.edp_js()) {
-        out.argmin_confirmed = i;
-      }
-    }
-  } else {
+  if (eligible.empty()) {
     out.argmin_confirmed = out.argmin_explored;
+    return out;
+  }
+
+  // The confirmations (and the deferred cycle reference) run as one flat
+  // parallel set of network evaluations: plan every run, evaluate every
+  // (run, phase) request, then fold the reference and the promoted runs.
+  // Each request is evaluated exactly once, as FullSystemSim::run would,
+  // so the reports and the evaluator's counters match a serial sweep.
+  const std::size_t first = explore_cycle ? 0 : 1;
+  std::vector<PlatformParams> run_params(first, cycle_reference);
+  for (const std::size_t i : eligible) {
+    run_params.push_back(points[i].params);
+    run_params.back().fidelity = Fidelity::kCycleAccurate;
+  }
+  std::vector<RunPlan> plans(run_params.size());
+  parallel_for(plans.size(), threads, [&](std::size_t r) {
+    plans[r] = sim.plan(profile, run_params[r]);
+  });
+
+  // Longest first: a request's simulation cost grows with the packets it
+  // injects (rate x window).  Requests that repeat an earlier one of their
+  // run resolve as cache hits; issue them after every first occurrence so
+  // none parks a worker early.
+  struct Request {
+    std::size_t run, k;
+    bool repeats;
+    double packets;
+  };
+  std::vector<Request> requests;
+  for (std::size_t r = 0; r < plans.size(); ++r) {
+    for (std::size_t k = 0; k < plans[r].requests.size(); ++k) {
+      requests.push_back({r, k, plans[r].repeats_earlier(k),
+                          plans[r].traffic(k).sum() *
+                              static_cast<double>(
+                                  plans[r].eval_params.sim_cycles)});
+    }
+  }
+  std::stable_sort(requests.begin(), requests.end(),
+                   [](const Request& a, const Request& b) {
+                     return a.repeats != b.repeats ? b.repeats
+                                                   : a.packets > b.packets;
+                   });
+  std::vector<std::vector<NetworkEval>> evals(plans.size());
+  for (std::size_t r = 0; r < plans.size(); ++r) {
+    evals[r].resize(plans[r].requests.size());
+  }
+  parallel_for(requests.size(), threads, [&](std::size_t j) {
+    const Request& q = requests[j];
+    evals[q.run][q.k] = sim.evaluate(plans[q.run], q.k);
+  });
+
+  if (first == 1) {
+    cycle_baseline = phase_baselines(
+        sim.fold(plans.front(), std::move(evals.front()), PhaseBaselines{}));
+  }
+  parallel_for(eligible.size(), threads, [&](std::size_t k) {
+    DesignPointResult& r = out.points[eligible[k]];
+    r.confirmed = sim.fold(plans[first + k], std::move(evals[first + k]),
+                           cycle_baseline);
+    r.promoted = true;
+  });
+
+  NetworkEvaluator* evaluator = points.front().params.net_eval;
+  for (std::size_t k = 0; k < eligible.size(); ++k) {
+    if (evaluator != nullptr) {
+      evaluator->note_promotion(points.front().params.telemetry);
+    }
+  }
+  out.argmin_confirmed = eligible.front();
+  for (std::size_t i : eligible) {
+    if (out.points[i].confirmed.edp_js() <
+        out.points[out.argmin_confirmed].confirmed.edp_js()) {
+      out.argmin_confirmed = i;
+    }
   }
   return out;
 }

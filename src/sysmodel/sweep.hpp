@@ -160,9 +160,13 @@ struct DesignSpaceResult {
 /// Explore every point in its own fidelity band in parallel, then promote
 /// the `promote_top` kAuto points with the lowest explored EDP to
 /// cycle-accurate confirmation runs.  Baselines (the NVFI-mesh reference
-/// latencies) are computed once per band from points[0]'s params.
-/// Promotions are recorded on the points' shared net_eval (when attached).
-/// Deterministic for any `threads` (0 = default_parallelism()).
+/// latencies) are computed once per band from points[0]'s params.  The
+/// confirmations' NoC evaluations (with the cycle-accurate reference's,
+/// unless cycle-band exploration needed it earlier) run as one flat
+/// parallel set of (run, phase) requests before the runs fold (DESIGN.md
+/// §12).  Promotions are recorded on the points' shared net_eval (when
+/// attached).  Reports and evaluator counters are those of the serial
+/// schedule, for any `threads` (0 = default_parallelism()).
 DesignSpaceResult sweep_design_space(const workload::AppProfile& profile,
                                      const FullSystemSim& sim,
                                      const std::vector<SweepPoint>& points,

@@ -105,60 +105,127 @@ SystemReport FullSystemSim::run(const workload::AppProfile& profile,
   return run(profile, params, baselines);
 }
 
+const Matrix& RunPlan::traffic(std::size_t k) const {
+  const std::size_t p = requests[k];
+  return p == kWholeRun ? platform->node_traffic : phases[p].node_traffic;
+}
+
+bool RunPlan::repeats_earlier(std::size_t k) const {
+  for (std::size_t j = 0; j < k; ++j) {
+    if (traffic(j) == traffic(k)) return true;
+  }
+  return false;
+}
+
 SystemReport FullSystemSim::run(const workload::AppProfile& profile,
                                 const PlatformParams& params,
                                 const PhaseBaselines& baselines) const {
-  const std::size_t n = profile.threads;
-  VFIMR_REQUIRE(profile.utilization.size() == n);
+  const RunPlan planned = plan(profile, params);
+  std::vector<NetworkEval> evals;
+  evals.reserve(planned.requests.size());
+  for (std::size_t k = 0; k < planned.requests.size(); ++k) {
+    evals.push_back(evaluate(planned, k));
+  }
+  return fold(planned, std::move(evals), baselines);
+}
+
+RunPlan FullSystemSim::plan(const workload::AppProfile& profile,
+                            const PlatformParams& params) const {
+  VFIMR_REQUIRE(profile.utilization.size() == profile.threads);
   VFIMR_REQUIRE_MSG(params.phase_window_scale > 0.0,
                     "phase_window_scale must be positive");
   VFIMR_REQUIRE_MSG(params.sim_cycles > 0,
                     "sim_cycles must be positive (no injection window)");
+
+  RunPlan plan;
+  plan.profile = &profile;
+  plan.params = params;
+  plan.eval_params = params;
+  if (params.telemetry != nullptr) {
+    plan.label = telemetry_label(profile, params);
+  }
+
+  // ---- Interconnect: build the platform (or share the cached one), then
+  // list the NoC evaluations — once under the whole-run matrix (legacy
+  // profiles), or once per phase matrix (the PhasePlan -> PhaseResult
+  // pipeline).
+  plan.platform = params.platform_cache != nullptr
+                      ? params.platform_cache->get(profile, params, *table_)
+                      : std::make_shared<const BuiltPlatform>(
+                            build_platform(profile, params, *table_));
+  const BuiltPlatform& built = *plan.platform;
+  if (!profile.phase_resolved()) {
+    plan.requests.push_back(RunPlan::kWholeRun);
+    return plan;
+  }
+
+  // Map each phase's thread traffic onto NoC nodes through the platform's
+  // thread mapping; each planned phase is evaluated in a scaled injection
+  // window.  LibInit and Merge share a traffic matrix by construction, so
+  // the second of the two is a guaranteed NetworkEvaluator cache hit.
+  plan.eval_params.sim_cycles = std::max<noc::Cycle>(
+      1, static_cast<noc::Cycle>(static_cast<double>(params.sim_cycles) *
+                                 params.phase_window_scale));
+  for (std::size_t p = 0; p < workload::kPhaseCount; ++p) {
+    PhasePlan& phase = plan.phases[p];
+    phase.phase = static_cast<workload::Phase>(p);
+    phase.weight = profile.phase_weight[p];
+    if (phase.weight <= 0.0) continue;
+    const Matrix& thread_traffic = profile.phase_traffic[p];
+    phase.rate_packets_per_cycle = thread_traffic.sum();
+    phase.node_traffic = winoc::map_traffic(
+        thread_traffic, built.thread_to_node, built.node_traffic.rows());
+    plan.requests.push_back(p);
+  }
+  return plan;
+}
+
+NetworkEval FullSystemSim::evaluate(const RunPlan& plan, std::size_t k) const {
+  const PlatformParams& params = plan.eval_params;
+  const std::size_t p = plan.requests[k];
+  const std::string label =
+      plan.label.empty() || p == RunPlan::kWholeRun
+          ? plan.label
+          : plan.label + " / " +
+                workload::phase_name(static_cast<workload::Phase>(p));
+  if (params.net_eval != nullptr) {
+    return params.net_eval->evaluate(*plan.platform, plan.traffic(k),
+                                     plan.profile->packet_flits, params,
+                                     models_.noc, label);
+  }
+  return evaluate_network_banded(*plan.platform, plan.traffic(k),
+                                 plan.profile->packet_flits, params,
+                                 models_.noc, label);
+}
+
+SystemReport FullSystemSim::fold(const RunPlan& plan,
+                                 std::vector<NetworkEval> evals,
+                                 const PhaseBaselines& baselines) const {
+  VFIMR_REQUIRE_MSG(evals.size() == plan.requests.size(),
+                    "fold got " << evals.size() << " evaluations for "
+                                << plan.requests.size() << " requests");
+  const workload::AppProfile& profile = *plan.profile;
+  const PlatformParams& params = plan.params;
+  const BuiltPlatform& built = *plan.platform;
+  const auto& plans = plan.phases;
+  const std::size_t n = profile.threads;
 
   SystemReport report;
   report.kind = params.kind;
 
   // ---- Telemetry (nullable; every hook below is gated on `tele`).
   telemetry::TelemetrySink* const tele = params.telemetry;
-  const std::string label =
-      tele != nullptr ? telemetry_label(profile, params) : std::string{};
+  const std::string& label = plan.label;
 
-  // ---- Interconnect: build the platform, then evaluate the NoC — once
-  // under the whole-run matrix (legacy profiles), or once per phase matrix
-  // (the PhasePlan -> PhaseResult pipeline).  Evaluations route through the
-  // shared memo cache when params.net_eval is set.
-  std::shared_ptr<const BuiltPlatform> cached_platform;
-  BuiltPlatform local_platform;
-  if (params.platform_cache != nullptr) {
-    cached_platform = params.platform_cache->get(profile, params, *table_);
-  } else {
-    local_platform = build_platform(profile, params, *table_);
-  }
-  const BuiltPlatform& built =
-      cached_platform != nullptr ? *cached_platform : local_platform;
   report.has_vfi = built.has_vfi;
   if (built.has_vfi) report.vfi = built.vfi;
   report.phase_resolved = profile.phase_resolved();
   const double s = profile.net_sensitivity;
 
-  auto eval_traffic = [&](const Matrix& node_traffic,
-                          const PlatformParams& eval_params,
-                          const std::string& eval_label) {
-    if (params.net_eval != nullptr) {
-      return params.net_eval->evaluate(built, node_traffic,
-                                       profile.packet_flits, eval_params,
-                                       models_.noc, eval_label);
-    }
-    return evaluate_network_banded(built, node_traffic, profile.packet_flits,
-                                   eval_params, models_.noc, eval_label);
-  };
-
-  std::array<PhasePlan, workload::kPhaseCount> plans;
   if (!report.phase_resolved) {
     // Legacy single-matrix coupling: one evaluation, one latency ratio, one
     // mem_scale — bit-identical to the pre-phase-pipeline model.
-    report.net = eval_traffic(built.node_traffic, params,
-                              telemetry_label(profile, params));
+    report.net = std::move(evals.front());
     report.resilience.noc_fault_events = report.net.metrics.fault_events;
     report.resilience.noc_route_rebuilds = report.net.metrics.route_rebuilds;
     report.resilience.noc_retry_backoffs = report.net.metrics.retry_backoffs;
@@ -187,38 +254,17 @@ SystemReport FullSystemSim::run(const workload::AppProfile& profile,
       pr.rate_packets_per_cycle = profile.traffic.sum();
     }
   } else {
-    // Phase-resolved pipeline, step 1: plan.  Map each phase's thread
-    // traffic onto NoC nodes through the platform's thread mapping.
+    // Phase-resolved pipeline: each evaluated phase's latency against its
+    // own baseline sets that phase's mem_scale.
     for (std::size_t p = 0; p < workload::kPhaseCount; ++p) {
-      PhasePlan& plan = plans[p];
-      plan.phase = static_cast<workload::Phase>(p);
-      plan.weight = profile.phase_weight[p];
-      if (plan.weight <= 0.0) continue;
-      const Matrix& thread_traffic = profile.phase_traffic[p];
-      plan.rate_packets_per_cycle = thread_traffic.sum();
-      plan.node_traffic = winoc::map_traffic(thread_traffic,
-                                             built.thread_to_node,
-                                             built.node_traffic.rows());
+      report.phase_results[p].phase = plans[p].phase;
+      report.phase_results[p].rate_packets_per_cycle =
+          plans[p].rate_packets_per_cycle;
     }
-
-    // Step 2: evaluate each planned phase in a scaled injection window.
-    // LibInit and Merge share a traffic matrix by construction, so the
-    // second of the two is a guaranteed NetworkEvaluator cache hit.
-    PlatformParams phase_params = params;
-    phase_params.sim_cycles = std::max<noc::Cycle>(
-        1, static_cast<noc::Cycle>(static_cast<double>(params.sim_cycles) *
-                                   params.phase_window_scale));
-    for (std::size_t p = 0; p < workload::kPhaseCount; ++p) {
-      const PhasePlan& plan = plans[p];
+    for (std::size_t k = 0; k < plan.requests.size(); ++k) {
+      const std::size_t p = plan.requests[k];
       PhaseResult& pr = report.phase_results[p];
-      pr.phase = plan.phase;
-      pr.rate_packets_per_cycle = plan.rate_packets_per_cycle;
-      if (plan.weight <= 0.0) continue;
-      std::string eval_label;
-      if (tele != nullptr) {
-        eval_label = label + " / " + workload::phase_name(plan.phase);
-      }
-      pr.net = eval_traffic(plan.node_traffic, phase_params, eval_label);
+      pr.net = std::move(evals[k]);
       pr.evaluated = true;
 
       const double base =

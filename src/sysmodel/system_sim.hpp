@@ -21,6 +21,9 @@
 //    traffic rate over the run) + switch/WI leakage.
 
 #include <array>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "power/core_power.hpp"
 #include "power/noc_power.hpp"
@@ -64,8 +67,8 @@ struct ResilienceStats {
 
 /// One step of the phase-resolved pipeline: the traffic a MapReduce phase
 /// offers to the NoC and its nominal share of the run.  Plans are built
-/// from AppProfile::phase_traffic at the start of FullSystemSim::run;
-/// zero-weight phases (e.g. LR's missing merge) are never simulated.
+/// from AppProfile::phase_traffic by FullSystemSim::plan; zero-weight
+/// phases (e.g. LR's missing merge) are never simulated.
 struct PhasePlan {
   workload::Phase phase = workload::Phase::kMap;
   double weight = 0.0;               ///< nominal time share of the run
@@ -128,6 +131,34 @@ struct SystemReport {
 /// latencies measured by an NVFI-mesh report of the same profile.
 PhaseBaselines phase_baselines(const SystemReport& nvfi_report);
 
+/// The network stage of one FullSystemSim::run, split off so a sweep can
+/// evaluate the requests of many runs as one parallel set (DESIGN.md §12):
+/// the platform the run executes on, its phase plans, and the evaluations
+/// they need.  No request depends on another; baselines enter only the
+/// fold.  The profile is borrowed and must outlive the plan.
+struct RunPlan {
+  /// Request slot of a legacy profile's single whole-run matrix.
+  static constexpr std::size_t kWholeRun = workload::kPhaseCount;
+
+  const workload::AppProfile* profile = nullptr;
+  PlatformParams params;       ///< the run's own parameters
+  PlatformParams eval_params;  ///< what every request evaluates under
+  std::shared_ptr<const BuiltPlatform> platform;
+  std::array<PhasePlan, workload::kPhaseCount> phases{};
+  /// One NoC evaluation per entry, in run order: the phase slot whose
+  /// node traffic it evaluates, or kWholeRun.
+  std::vector<std::size_t> requests;
+  std::string label;  ///< telemetry label; empty when no sink is attached
+
+  /// The node x node traffic request `k` evaluates.
+  const Matrix& traffic(std::size_t k) const;
+  /// True when request `k` evaluates the same traffic as an earlier request
+  /// of this plan (LibInit and Merge share a matrix by construction): with
+  /// a shared NetworkEvaluator it resolves as a cache hit, so schedulers
+  /// issue it last rather than park a worker on the first computation.
+  bool repeats_earlier(std::size_t k) const;
+};
+
 class FullSystemSim {
  public:
   struct Models {
@@ -150,10 +181,22 @@ class FullSystemSim {
                    const PlatformParams& params,
                    double baseline_latency_cycles = 0.0) const;
 
-  /// Phase-resolved baselines (see phase_baselines()).
+  /// Phase-resolved baselines (see phase_baselines()).  Composes the three
+  /// stages below serially: plan, evaluate every request in order, fold.
   SystemReport run(const workload::AppProfile& profile,
                    const PlatformParams& params,
                    const PhaseBaselines& baselines) const;
+
+  /// Stage 1: resolve the platform and plan the run's NoC requests.
+  RunPlan plan(const workload::AppProfile& profile,
+               const PlatformParams& params) const;
+  /// Stage 2: evaluate request `k` of `plan` (through params.net_eval when
+  /// attached).  Thread-safe; requests may run in any order.
+  NetworkEval evaluate(const RunPlan& plan, std::size_t k) const;
+  /// Stage 3: couple the evaluations (evals[k] answers request k) into the
+  /// task-level simulation and the run's report.
+  SystemReport fold(const RunPlan& plan, std::vector<NetworkEval> evals,
+                    const PhaseBaselines& baselines) const;
 
   const power::VfTable& vf_table() const { return *table_; }
   const Models& models() const { return models_; }

@@ -1,7 +1,7 @@
 // Property tests for the streaming statistics added for the telemetry
 // layer: histogram merge across parallel_for-style shards, histogram
 // quantiles against the exact sorted-percentile answer, and the P²
-// streaming quantile estimator.
+// streaming quantile estimators (single and shared-marker multi-quantile).
 
 #include "common/stats.hpp"
 
@@ -176,6 +176,81 @@ TEST(PropStats, P2TailQuantileTracksHeavyTailedStreams) {
                          << " sigma=" << sigma << " exact=" << exact
                          << " estimate=" << q.value();
   });
+}
+
+TEST(PropStats, P2QuantilesStayOrderedOnEveryPrefix) {
+  // Shared markers never cross, so the SLA triple is ordered after every
+  // sample — on random streams and on a growing backlog (sorted-ish input,
+  // where independent single-quantile markers drift past each other).
+  test::for_each_seed(20, [](Rng& rng, std::uint64_t seed) {
+    const std::size_t n = 1 + rng.uniform_u64(3000);
+    std::vector<double> xs = random_samples(rng, n);
+    if (seed % 2 == 1) {
+      double backlog = 0.0;
+      for (auto& x : xs) {
+        backlog += rng.uniform(0.0, 1.0);
+        x = backlog + std::exp(rng.normal(0.0, 1.0));
+      }
+    }
+    P2Quantiles q{{0.50, 0.99, 0.999}};
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      q.add(xs[i]);
+      ASSERT_LE(q.value(0), q.value(1)) << "after sample " << i;
+      ASSERT_LE(q.value(1), q.value(2)) << "after sample " << i;
+    }
+    EXPECT_EQ(q.count(), xs.size());
+  });
+}
+
+TEST(PropStats, P2QuantilesMatchExactBelowMarkerCount) {
+  // 2m + 3 = 9 markers for three quantiles: fewer samples are answered
+  // exactly from the stored observations.
+  test::for_each_seed(10, [](Rng& rng, std::uint64_t) {
+    const auto xs = random_samples(rng, 1 + rng.uniform_u64(8));
+    P2Quantiles q{{0.25, 0.5, 0.75}};
+    for (double x : xs) q.add(x);
+    EXPECT_DOUBLE_EQ(q.value(0), percentile(xs, 25.0));
+    EXPECT_DOUBLE_EQ(q.value(2), percentile(xs, 75.0));
+  });
+}
+
+TEST(PropStats, P2QuantilesTrackExactQuantilesOnRandomStreams) {
+  // The single-quantile accuracy bounds hold for the shared-marker
+  // estimator too: 10% of the data range on random streams, 25% relative
+  // error on a lognormal p999 tail.
+  test::for_each_seed(20, [](Rng& rng, std::uint64_t) {
+    const auto xs = random_samples(rng, 200 + rng.uniform_u64(5000));
+    const double range = *std::max_element(xs.begin(), xs.end()) -
+                         *std::min_element(xs.begin(), xs.end());
+    P2Quantiles q{{0.5, 0.9, 0.95}};
+    for (double x : xs) q.add(x);
+    for (std::size_t k = 0; k < q.size(); ++k) {
+      EXPECT_NEAR(q.value(k), percentile(xs, q.p(k) * 100.0),
+                  0.10 * range + 1e-9)
+          << "p=" << q.p(k);
+    }
+  });
+  test::for_each_seed(10, [](Rng& rng, std::uint64_t seed) {
+    const std::size_t n = 20'000 + rng.uniform_u64(20'000);
+    const double sigma = rng.uniform(0.5, 1.5);
+    std::vector<double> xs(n);
+    for (auto& x : xs) x = std::exp(rng.normal(0.0, sigma));
+    P2Quantiles q{{0.50, 0.99, 0.999}};
+    for (double x : xs) q.add(x);
+    const double exact = percentile(xs, 99.9);
+    EXPECT_LT(std::abs(q.value(2) - exact) / exact, 0.25)
+        << "seed=" << seed << " sigma=" << sigma;
+  });
+}
+
+TEST(PropStats, P2QuantilesRejectInvalidTargets) {
+  EXPECT_THROW(P2Quantiles{{}}, std::invalid_argument);
+  EXPECT_THROW((P2Quantiles{{0.5, 0.5}}), std::invalid_argument);
+  EXPECT_THROW((P2Quantiles{{0.9, 0.5}}), std::invalid_argument);
+  EXPECT_THROW((P2Quantiles{{0.5, 1.0}}), std::invalid_argument);
+  P2Quantiles q{{0.5, 0.99}};
+  EXPECT_TRUE(std::isnan(q.value(1)));
+  EXPECT_THROW(q.value(2), std::out_of_range);
 }
 
 TEST(PropStats, HistogramRejectsZeroBuckets) {

@@ -11,8 +11,12 @@ ladder's contract:
 
   * speedup_auto >= MIN_SPEEDUP (default 5.0) — the throughput the
     analytical band was built to buy.  Wall-seconds are machine-specific
-    but both sweeps ran on the same box in the same process, so the ratio
-    is the portable signal (same reasoning as check_sweep_overhead.py).
+    but both sweeps ran on the same box in the same process at the same
+    thread count, so the ratio is the portable signal (same reasoning as
+    check_sweep_overhead.py).  speedup_auto is the median of `trials`
+    (>= MIN_TRIALS) paired trials; one timing of a sub-second sweep is too
+    noisy to gate on.  The per-trial range and the thread count are
+    printed with it.
   * latency_mape <= MAX_LATENCY_MAPE (default 0.15) — mean abs latency
     error of the analytical band across the explored points, the
     fault-free half of the accuracy contract.  (Faulty-config accuracy is
@@ -30,6 +34,7 @@ import json
 import sys
 
 PREFIX = "bench_sweep.fidelity."
+MIN_TRIALS = 5
 
 
 def main(argv):
@@ -55,6 +60,10 @@ def main(argv):
         return float(doc[key])
 
     speedup = metric("speedup_auto")
+    speedup_min = metric("speedup_min")
+    speedup_max = metric("speedup_max")
+    trials = metric("trials")
+    threads = metric("threads")
     latency_mape = metric("latency_mape")
     frontier_match = metric("frontier_match")
     counters_consistent = metric("counters_consistent")
@@ -62,13 +71,19 @@ def main(argv):
 
     print(
         f"check_fidelity: {points:.0f} design points, "
-        f"Auto speedup {speedup:.2f}x (floor {min_speedup:.2f}x), "
+        f"Auto speedup {speedup:.2f}x median of {trials:.0f} trials at "
+        f"{threads:.0f} thread(s), range {speedup_min:.2f}x.."
+        f"{speedup_max:.2f}x (floor {min_speedup:.2f}x), "
         f"latency MAPE {latency_mape:.2%} (cap {max_latency_mape:.2%}), "
         f"frontier_match={frontier_match:.0f}, "
         f"counters_consistent={counters_consistent:.0f}"
     )
 
     failures = []
+    if trials < MIN_TRIALS:
+        failures.append(
+            f"speedup measured over {trials:.0f} trials, need {MIN_TRIALS}"
+        )
     if speedup < min_speedup:
         failures.append(
             f"Auto speedup {speedup:.2f}x below floor {min_speedup:.2f}x"
