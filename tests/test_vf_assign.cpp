@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 
 #include "common/require.hpp"
 #include "workload/profile.hpp"
@@ -102,6 +103,12 @@ struct Table2Case {
   std::vector<double> vfi1_ghz;  // sorted
   std::vector<double> vfi2_ghz;  // sorted
 };
+
+// Without this, gtest prints the case as raw bytes (padding and heap
+// pointers), which puts run-dependent text into the discovered test names.
+void PrintTo(const Table2Case& c, std::ostream* os) {
+  *os << workload::app_name(c.app);
+}
 
 class Table2Regression : public ::testing::TestWithParam<Table2Case> {};
 
