@@ -353,12 +353,9 @@ ClusterReport ClusterSim::run(const std::vector<JobArrival>& arrivals,
   // Streaming telemetry instruments (cached once; null sink = no-ops).
   telemetry::MetricsRegistry* metrics =
       fleet.telemetry != nullptr ? &fleet.telemetry->metrics() : nullptr;
-  telemetry::QuantileMetric* tele_p50 =
-      metrics ? &metrics->quantile("cluster.latency_s.p50", 0.50) : nullptr;
-  telemetry::QuantileMetric* tele_p99 =
-      metrics ? &metrics->quantile("cluster.latency_s.p99", 0.99) : nullptr;
-  telemetry::QuantileMetric* tele_p999 =
-      metrics ? &metrics->quantile("cluster.latency_s.p999", 0.999) : nullptr;
+  telemetry::QuantileMetric* tele_latency =
+      metrics ? &metrics->quantiles("cluster.latency_s", {0.50, 0.99, 0.999})
+              : nullptr;
 
   // Optional serving-tier observer (DESIGN.md §15).  Opt-in on top of the
   // sink because span storage scales with admitted jobs.  Every hook below
@@ -673,11 +670,7 @@ ClusterReport ClusterSim::run(const std::vector<JobArrival>& arrivals,
       report.completion_digest =
           digest_mix(report.completion_digest, std::bit_cast<std::uint64_t>(now));
       report.horizon_s = std::max(report.horizon_s, now);
-      if (tele_p50 != nullptr) {
-        tele_p50->add(latency);
-        tele_p99->add(latency);
-        tele_p999->add(latency);
-      }
+      if (tele_latency != nullptr) tele_latency->add(latency);
       if (obs != nullptr) {
         obs->on_complete(done.attempt, now, latency, running_power,
                          job.deadline_abs_s > 0.0 && now > job.deadline_abs_s);

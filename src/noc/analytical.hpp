@@ -31,12 +31,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/matrix.hpp"
+#include "common/once_cache.hpp"
 #include "faults/faults.hpp"
 #include "noc/network.hpp"
 #include "noc/routing.hpp"
@@ -197,42 +195,15 @@ class AnalyticalNocModel {
                    graph::NodeId d) const;
 
  public:
-  /// Thread-safe memo of constructed models, keyed on a serialized
-  /// evaluation config (window, clustering, fault schedule, knobs).  The
-  /// owning platform embeds one so the phase evaluations of a run — and,
-  /// through a shared PlatformCache, every sweep point on the same platform
-  /// — pay each model construction once instead of once per evaluation.
-  /// Models hold pointers into the owning platform; the cache must not
-  /// outlive it.  Concurrent insert races are benign: construction is
-  /// deterministic and the first inserted model wins.
-  class Cache {
-   public:
-    std::shared_ptr<const AnalyticalNocModel> find(
-        const std::string& key) const {
-      std::lock_guard<std::mutex> lock{mutex_};
-      const auto it = models_.find(key);
-      return it == models_.end() ? nullptr : it->second;
-    }
-    std::shared_ptr<const AnalyticalNocModel> insert(
-        std::string key, std::shared_ptr<const AnalyticalNocModel> model) {
-      std::lock_guard<std::mutex> lock{mutex_};
-      return models_.try_emplace(std::move(key), std::move(model))
-          .first->second;
-    }
-    std::size_t size() const {
-      std::lock_guard<std::mutex> lock{mutex_};
-      return models_.size();
-    }
-
-   private:
-    mutable std::mutex mutex_;
-    std::unordered_map<std::string,
-                       std::shared_ptr<const AnalyticalNocModel>>
-        models_;
-  };
+  /// Compute-once memo of constructed models, keyed on the serialized
+  /// AnalyticalConfig (sysmodel/keys.hpp).  The owning platform embeds one
+  /// so the phase evaluations of a run — and, through a shared
+  /// PlatformCache, every sweep point on the same platform — pay each model
+  /// construction once.  Models hold pointers into the owning platform; the
+  /// cache must not outlive it.
+  using Cache = OnceCache<std::shared_ptr<const AnalyticalNocModel>>;
 
  private:
-
   const Topology* topo_;
   const RoutingAlgorithm* routing_;
   WirelessConfig wireless_;

@@ -26,17 +26,18 @@
 namespace vfimr::store {
 
 /// Append-only canonical byte writer.  put() accepts trivially-copyable
-/// scalar types (integers, doubles, enums); aggregates must be serialized
-/// field by field so struct padding never leaks into the stream.
+/// scalar types (integers, doubles, enums), one or more per call, written
+/// in argument order; aggregates must be serialized field by field so
+/// struct padding never leaks into the stream.
 class ByteWriter {
  public:
-  template <typename T>
-  void put(const T& v) {
-    static_assert(std::is_trivially_copyable_v<T>,
+  template <typename... T>
+  void put(const T&... v) {
+    static_assert((std::is_trivially_copyable_v<T> && ...),
                   "ByteWriter::put requires trivially copyable types");
-    static_assert(!std::is_pointer_v<T>,
+    static_assert((!std::is_pointer_v<T> && ...),
                   "pointers must never enter a serialized record");
-    buf_.append(reinterpret_cast<const char*>(&v), sizeof(T));
+    (buf_.append(reinterpret_cast<const char*>(&v), sizeof(T)), ...);
   }
 
   void put_bytes(const void* p, std::size_t n) {

@@ -1,42 +1,20 @@
 #include "sysmodel/net_eval.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <numeric>
-#include <string_view>
+#include <optional>
 
 #include "common/require.hpp"
 #include "noc/analytical.hpp"
 #include "noc/traffic.hpp"
 #include "store/codec.hpp"
 #include "store/eval_store.hpp"
+#include "sysmodel/keys.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace vfimr::sysmodel {
 
 namespace {
-
-// ---- Cache-key serialization (shared by the evaluation memo below and the
-// per-platform analytical-model memo).  A key is the raw bytes of every
-// input that can steer the computation; equal keys therefore denote the
-// exact same result.  Exactness over compactness: no hashing, so no
-// collision can ever alias two different computations.
-
-template <typename T>
-void put(std::string& key, const T& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const char* p = reinterpret_cast<const char*>(&v);
-  key.append(p, sizeof(T));
-}
-
-void put_matrix(std::string& key, const Matrix& m) {
-  put(key, m.rows());
-  put(key, m.cols());
-  if (!m.data().empty()) {
-    key.append(reinterpret_cast<const char*>(m.data().data()),
-               m.data().size() * sizeof(double));
-  }
-}
 
 void require_valid(const PlatformParams& params) {
   VFIMR_REQUIRE_MSG(params.network_clock_hz > 0.0,
@@ -152,34 +130,24 @@ NetworkEval evaluate_network_analytical(const BuiltPlatform& platform,
   cfg.sync_penalty_cycles = sim_cfg.sync_penalty_cycles;
   cfg.faults = sim_cfg.faults;
   cfg.fault_reroute_wireless_cost = sim_cfg.fault_reroute_wireless_cost;
+  cfg.fault_max_retries = sim_cfg.fault_max_retries;
+  cfg.fault_backoff_base_cycles = sim_cfg.fault_backoff_base_cycles;
 
   // The model is traffic-independent (routes + fault slices only), so it is
-  // memoized on the platform, keyed on the analytical-relevant config.  The
-  // phase evaluations of a run — and, with a shared PlatformCache, every
-  // sweep point over the same platform — reuse one construction, which is
-  // what keeps the analytical band's per-evaluation cost flat while the
-  // cycle-accurate band's grows with the injection window.
-  std::string model_key;
-  put(model_key, cfg.sim_cycles);
-  put(model_key, cfg.node_cluster.size());
-  for (const std::size_t c : cfg.node_cluster) put(model_key, c);
-  put(model_key, cfg.sync_penalty_cycles);
-  put(model_key, cfg.fault_reroute_wireless_cost);
-  put(model_key, cfg.faults.size());
-  for (const auto& f : cfg.faults.events()) {
-    put(model_key, static_cast<std::uint32_t>(f.kind));
-    put(model_key, f.id);
-    put(model_key, f.at_cycle);
-    put(model_key, f.until_cycle);
-  }
-  std::shared_ptr<const noc::AnalyticalNocModel> model =
-      platform.analytical_models->find(model_key);
-  if (model == nullptr) {
-    model = platform.analytical_models->insert(
-        std::move(model_key),
-        std::make_shared<const noc::AnalyticalNocModel>(
-            platform.topology, *platform.routing, platform.wireless, cfg));
-  }
+  // memoized on the platform, keyed on its config.  The phase evaluations of
+  // a run — and, with a shared PlatformCache, every sweep point over the
+  // same platform — reuse one construction, which is what keeps the
+  // analytical band's per-evaluation cost flat while the cycle-accurate
+  // band's grows with the injection window.
+  const std::shared_ptr<const noc::AnalyticalNocModel> model =
+      platform.analytical_models
+          ->get(analytical_model_key(cfg),
+                [&] {
+                  return std::make_shared<const noc::AnalyticalNocModel>(
+                      platform.topology, *platform.routing,
+                      platform.wireless, cfg);
+                })
+          .value;
   noc::AnalyticalDetail detail;
   const noc::Metrics metrics =
       model->evaluate(node_traffic, packet_flits, &detail);
@@ -205,98 +173,6 @@ NetworkEval evaluate_network_banded(const BuiltPlatform& platform,
                                   params, noc_power, label);
 }
 
-namespace {
-
-std::string cache_key(const BuiltPlatform& platform,
-                      const Matrix& node_traffic, std::uint32_t packet_flits,
-                      const PlatformParams& params,
-                      const power::NocPowerModel& noc_power) {
-  std::string key;
-  key.reserve(512 + node_traffic.data().size() * sizeof(double));
-
-  // Fidelity band first: an analytical and a cycle-accurate evaluation of
-  // identical inputs are different computations and must never alias to one
-  // memo entry.  kAuto and kAnalytical share the byte deliberately — they
-  // are the same band (kAuto's cycle-accurate confirmations arrive as
-  // separate kCycleAccurate requests).
-  put(key, static_cast<std::uint8_t>(analytical_band(params.fidelity)));
-
-  // System kind selects the routing algorithm (XY vs. up*/down*).
-  put(key, static_cast<std::uint32_t>(params.kind));
-  put(key, static_cast<std::uint8_t>(platform.has_vfi));
-
-  // Topology: switch positions (wire lengths feed the energy model) and the
-  // full edge list.
-  const auto& topo = platform.topology;
-  put(key, topo.node_count());
-  for (const auto& pos : topo.positions) {
-    put(key, pos.x_mm);
-    put(key, pos.y_mm);
-  }
-  // Field-by-field: struct padding bytes are unspecified and must not leak
-  // into the key.
-  put(key, topo.graph.edge_count());
-  for (const auto& e : topo.graph.edges()) {
-    put(key, e.a);
-    put(key, e.b);
-    put(key, static_cast<std::uint32_t>(e.kind));
-    put(key, e.length_mm);
-  }
-
-  // Wireless layout.
-  put(key, platform.wireless.channel_count);
-  put(key, platform.wireless.interfaces.size());
-  for (const auto& wi : platform.wireless.interfaces) {
-    put(key, wi.node);
-    put(key, wi.channel);
-  }
-
-  // Offered traffic.
-  put_matrix(key, node_traffic);
-  put(key, packet_flits);
-  put(key, params.traffic_seed);
-
-  // Simulation window + latency correction.
-  put(key, params.sim_cycles);
-  put(key, params.drain_cycles);
-  put(key, params.router_pipeline_cycles);
-
-  // NoC simulator configuration (telemetry fields excluded: the traced run
-  // is proven bit-identical to the untraced one).
-  const auto& sim = params.noc_sim;
-  put(key, sim.wire_buffer_depth);
-  put(key, sim.wi_buffer_depth);
-  put(key, sim.node_cluster.size());
-  for (std::size_t c : sim.node_cluster) put(key, c);
-  put(key, sim.sync_penalty_cycles);
-  put(key, static_cast<std::uint8_t>(sim.reference_stepping));
-  put(key, sim.fault_max_retries);
-  put(key, sim.fault_backoff_base_cycles);
-  put(key, sim.fault_reroute_wireless_cost);
-  put(key, sim.faults.size());
-  for (const auto& f : sim.faults.events()) {
-    put(key, static_cast<std::uint32_t>(f.kind));
-    put(key, f.id);
-    put(key, f.at_cycle);
-    put(key, f.until_cycle);
-  }
-
-  // Rate-based fault spec (expanded into a schedule inside the evaluation;
-  // only the NoC-relevant fields matter here).
-  put(key, params.faults.link_rate);
-  put(key, params.faults.router_rate);
-  put(key, params.faults.wi_rate);
-  put(key, params.faults.transient_fraction);
-  put(key, params.faults.mean_repair_cycles);
-  put(key, params.faults.seed);
-
-  // Energy constants (scale energy_per_flit_j).
-  put(key, noc_power.params());
-  return key;
-}
-
-}  // namespace
-
 NetworkEval NetworkEvaluator::evaluate(const BuiltPlatform& platform,
                                        const Matrix& node_traffic,
                                        std::uint32_t packet_flits,
@@ -304,79 +180,64 @@ NetworkEval NetworkEvaluator::evaluate(const BuiltPlatform& platform,
                                        const power::NocPowerModel& noc_power,
                                        const std::string& label) {
   const std::string key =
-      cache_key(platform, node_traffic, packet_flits, params, noc_power);
-  const bool analytical = analytical_band(params.fidelity);
-
-  std::shared_ptr<Entry> entry;
-  {
-    std::lock_guard<std::mutex> lock{mutex_};
-    auto [it, fresh] = cache_.try_emplace(key);
-    if (fresh) it->second = std::make_shared<Entry>();
-    entry = it->second;
-  }
-
-  // Hit/miss classification happens under the entry mutex, where the tier
-  // that actually resolves the request is known: memory (entry ready), disk
-  // (store probe decodes), or compute.  A thread that blocked behind the
-  // computing thread counts a memory hit — by the time it runs, that is
-  // what it got.
-  const std::string band = analytical ? "analytical" : "cycle";
-  const auto count = [&](std::atomic<std::uint64_t>& counter,
-                         const char* total_name, bool band_split) {
-    counter.fetch_add(1, std::memory_order_relaxed);
-    if (params.telemetry != nullptr) {
-      auto& metrics = params.telemetry->metrics();
-      metrics.counter(total_name).add(1);
-      if (band_split) {
-        const std::string_view suffix =
-            std::string_view{total_name}.substr(sizeof("net_eval.") - 1);
-        metrics.counter("net_eval." + band + "." + std::string{suffix})
-            .add(1);
-      }
-    }
+      net_eval_key(platform, node_traffic, packet_flits, params, noc_power);
+  // Disk tier: same content-addressed key, domain-prefixed so evaluator
+  // records can never alias another record family in a shared store.
+  store::EvalStore* const st = store_;
+  std::string store_key;  // set by load, reused by save
+  telemetry::MetricsRegistry* const metrics =
+      params.telemetry != nullptr ? &params.telemetry->metrics() : nullptr;
+  const auto count = [metrics](const std::string& name, std::size_t n = 1) {
+    if (metrics != nullptr) metrics->counter(name).add(n);
   };
 
-  std::lock_guard<std::mutex> lock{entry->mutex};
-  if (entry->ready) {
-    count(analytical ? analytical_hits_ : cycle_hits_, "net_eval.cache_hits",
-          /*band_split=*/true);
-    return entry->value;
-  }
-
-  if (store_ != nullptr) {
-    // Disk tier: same content-addressed key, domain-prefixed so evaluator
-    // records can never alias another record family in a shared store.
+  const auto load = [&]() -> std::optional<NetworkEval> {
+    if (st == nullptr) return std::nullopt;
+    store_key = store::domain_key(store::KeyDomain::kNetworkEval, key);
     std::string bytes;
-    if (store_->get(
-            store::domain_key(store::KeyDomain::kNetworkEval, key), bytes) &&
-        store::decode_network_eval(bytes, entry->value)) {
-      entry->ready = true;
-      count(disk_hits_, "net_eval.disk_hits", /*band_split=*/false);
-      if (params.telemetry != nullptr) {
-        params.telemetry->metrics().counter("store.bytes").add(
-            static_cast<std::uint64_t>(bytes.size()));
-      }
-      return entry->value;
+    NetworkEval eval;
+    if (!st->get(store_key, bytes) ||
+        !store::decode_network_eval(bytes, eval)) {
+      return std::nullopt;
     }
-    count(disk_misses_, "net_eval.disk_misses", /*band_split=*/false);
-  }
+    count("store.bytes", bytes.size());
+    return eval;
+  };
+  const auto compute = [&] {
+    return evaluate_network_banded(platform, node_traffic, packet_flits,
+                                   params, noc_power, label);
+  };
+  const auto save = [&](const NetworkEval& eval) {
+    if (st == nullptr) return;
+    std::string value = store::encode_network_eval(eval);
+    count("store.bytes", store_key.size() + value.size());
+    st->put(store_key, std::move(value));
+  };
+  auto [eval, tier] = cache_.get(key, load, compute, save);
 
-  count(analytical ? analytical_misses_ : cycle_misses_,
-        "net_eval.cache_misses", /*band_split=*/true);
-  entry->value = evaluate_network_banded(platform, node_traffic, packet_flits,
-                                         params, noc_power, label);
-  entry->ready = true;
-  if (store_ != nullptr) {
-    std::string store_key =
-        store::domain_key(store::KeyDomain::kNetworkEval, key);
-    std::string value = store::encode_network_eval(entry->value);
-    if (params.telemetry != nullptr) {
-      params.telemetry->metrics().counter("store.bytes").add(
-          static_cast<std::uint64_t>(store_key.size() + value.size()));
+  // Every disk miss is also a computation, so `misses` keeps meaning
+  // "evaluations actually computed".
+  const bool analytical = analytical_band(params.fidelity);
+  const std::string band =
+      analytical ? "net_eval.analytical." : "net_eval.cycle.";
+  constexpr auto relaxed = std::memory_order_relaxed;
+  if (tier == CacheTier::kMemory) {
+    (analytical ? analytical_hits_ : cycle_hits_).fetch_add(1, relaxed);
+    count("net_eval.cache_hits");
+    count(band + "cache_hits");
+  } else if (tier == CacheTier::kDisk) {
+    disk_hits_.fetch_add(1, relaxed);
+    count("net_eval.disk_hits");
+  } else {
+    if (st != nullptr) {
+      disk_misses_.fetch_add(1, relaxed);
+      count("net_eval.disk_misses");
     }
-    store_->put(store_key, std::move(value));
+    (analytical ? analytical_misses_ : cycle_misses_).fetch_add(1, relaxed);
+    count("net_eval.cache_misses");
+    count(band + "cache_misses");
   }
-  return entry->value;
+  return std::move(eval);
 }
 
 void NetworkEvaluator::note_promotion(telemetry::TelemetrySink* sink) {
@@ -384,16 +245,6 @@ void NetworkEvaluator::note_promotion(telemetry::TelemetrySink* sink) {
   if (sink != nullptr) {
     sink->metrics().counter("net_eval.promotions").add(1);
   }
-}
-
-std::size_t NetworkEvaluator::size() const {
-  std::lock_guard<std::mutex> lock{mutex_};
-  return cache_.size();
-}
-
-void NetworkEvaluator::clear() {
-  std::lock_guard<std::mutex> lock{mutex_};
-  cache_.clear();
 }
 
 }  // namespace vfimr::sysmodel

@@ -6,57 +6,26 @@
 // (application, system) pair, and sweeps evaluate many such pairs in
 // parallel.  Identical evaluations recur — LibInit and Merge share a
 // traffic matrix by construction, and fault sweeps revisit the same clean
-// baseline — so the evaluator memoizes results behind a content-addressed
-// key: every input that can change the simulation outcome (topology,
-// wireless layout, traffic matrix, sim window, fault spec/schedule, power
-// constants, seeds, and the fidelity band) is serialized byte-for-byte into
-// the key.  Two calls with equal keys are the *same* evaluation, and the
-// cached result is bit-identical to a fresh run by definition.
+// baseline — so the evaluator memoizes results in a OnceCache
+// (common/once_cache.hpp) under net_eval_key (sysmodel/keys.hpp): memory,
+// then the optional disk tier (attach_store), then compute.  The key holds
+// every input that can change the outcome, the fidelity band included, so
+// a cached or stored result is bit-identical to a fresh run.  Tiers, key
+// projections and counters: DESIGN.md §12 and §16.
 //
-// Fidelity bands: PlatformParams::fidelity selects between the
-// cycle-accurate wormhole simulator and the analytical hop-by-hop model
-// (noc/analytical.hpp).  kAuto evaluates in the analytical band — sweep
-// drivers explore with it and then re-confirm ("promote") the surviving
-// frontier cycle-accurately.  Because the band is part of the cache key,
-// analytical and cycle-accurate results can never alias to one entry.
-//
-// Thread safety: the cache composes with common/parallel_for.  Lookups take
-// a registry mutex only to find-or-create the entry; the (expensive)
-// simulation runs under the entry's own mutex, so concurrent misses on
-// different keys simulate in parallel while a second thread asking for a
-// key being computed blocks until the result is ready (compute-once).
-//
-// Telemetry: hit/miss totals are exposed via stats() and, when the request
-// carries a sink, mirrored into `net_eval.cache_hits` /
-// `net_eval.cache_misses` plus the per-band
-// `net_eval.{analytical,cycle}.cache_{hits,misses}` counters; frontier
-// promotions recorded via note_promotion() appear as
-// `net_eval.promotions`.  Cache hits do not re-emit the NoC trace events of
-// the original run.
-//
-// Disk tier: attach_store() adds a persistent tier between the in-memory
-// memo and the simulator.  Lookups then go memory -> disk -> compute: a
-// memory miss probes the store under the same content-addressed key
-// (domain-prefixed, see store/eval_store.hpp), and only a disk miss runs
-// the simulation — whose result is written back so later processes (other
-// sweep shards, warm re-runs) load it instead of recomputing.  A decoded
-// disk hit is bit-identical to a fresh run because the key already captures
-// every input and the codec round-trips every output field exactly; stores
-// written by a different format or codec version simply miss (stale data is
-// recomputed, never trusted).  Disk traffic shows up in stats() as
-// `disk_hits` / `disk_misses` and in telemetry as `net_eval.disk_hits`,
-// `net_eval.disk_misses`, and `store.bytes` (bytes moved to or from disk).
-// `misses` continues to count *simulations*, so `misses == 0` on a warm
-// re-run is the "no evaluator recomputed anything" gate.
+// Telemetry: when the request carries a sink, the stats() counters are
+// mirrored into `net_eval.cache_hits` / `net_eval.cache_misses`, the
+// per-band `net_eval.{analytical,cycle}.cache_{hits,misses}`,
+// `net_eval.disk_hits` / `net_eval.disk_misses`, `net_eval.promotions`
+// and `store.bytes` (bytes moved to or from disk).  Cache hits do not
+// re-emit the NoC trace events of the original run.
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 
 #include "common/matrix.hpp"
+#include "common/once_cache.hpp"
 #include "power/noc_power.hpp"
 #include "sysmodel/platform.hpp"
 
@@ -163,20 +132,13 @@ class NetworkEvaluator {
   }
 
   /// Number of distinct evaluations stored.
-  std::size_t size() const;
+  std::size_t size() const { return cache_.size(); }
 
   /// Drop all cached results (counters keep accumulating).
-  void clear();
+  void clear() { cache_.clear(); }
 
  private:
-  struct Entry {
-    std::mutex mutex;
-    bool ready = false;
-    NetworkEval value;
-  };
-
-  mutable std::mutex mutex_;
-  std::unordered_map<std::string, std::shared_ptr<Entry>> cache_;
+  OnceCache<NetworkEval> cache_;
   std::atomic<std::uint64_t> analytical_hits_{0};
   std::atomic<std::uint64_t> analytical_misses_{0};
   std::atomic<std::uint64_t> cycle_hits_{0};

@@ -1,8 +1,11 @@
 #include "sysmodel/platform.hpp"
 
+#include <optional>
+
 #include "common/require.hpp"
 #include "store/codec.hpp"
 #include "store/eval_store.hpp"
+#include "sysmodel/keys.hpp"
 #include "sysmodel/net_eval.hpp"
 #include "winoc/thread_mapping.hpp"
 
@@ -110,113 +113,47 @@ BuiltPlatform build_platform(const workload::AppProfile& profile,
   return built;
 }
 
-namespace {
-
-/// Raw-byte key serialization, mirroring net_eval's cache-key idiom:
-/// exactness over compactness, so no two different platform constructions
-/// can ever alias one entry.
-template <typename T>
-void put(std::string& key, const T& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  key.append(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-std::string platform_key(const workload::AppProfile& profile,
-                         const PlatformParams& params,
-                         const power::VfTable& table) {
-  std::string key;
-  key.reserve(256 + profile.traffic.data().size() * sizeof(double));
-
-  // Workload content consumed by the design flow: traffic drives thread
-  // mapping and WiNoC layout, utilization and masters drive the VFI design.
-  put(key, static_cast<std::uint32_t>(profile.app));
-  put(key, profile.threads);
-  put(key, profile.traffic.rows());
-  put(key, profile.traffic.cols());
-  key.append(reinterpret_cast<const char*>(profile.traffic.data().data()),
-             profile.traffic.data().size() * sizeof(double));
-  put(key, profile.utilization.size());
-  for (const double u : profile.utilization) put(key, u);
-  put(key, profile.master_threads.size());
-  for (const std::size_t m : profile.master_threads) put(key, m);
-
-  // Design knobs.  Field-by-field: struct padding must not leak into keys.
-  put(key, static_cast<std::uint32_t>(params.kind));
-  put(key, static_cast<std::uint32_t>(params.placement));
-  put(key, params.smallworld.k_intra);
-  put(key, params.smallworld.k_inter);
-  put(key, params.smallworld.k_max);
-  put(key, params.smallworld.alpha);
-  put(key, params.smallworld.channels);
-  put(key, params.smallworld.wis_per_cluster);
-  put(key, params.smallworld.seed);
-  put(key, params.vfi.clusters);
-  put(key, params.vfi.select.util_target);
-  put(key, params.vfi.anneal.iterations);
-  put(key, params.vfi.anneal.t_initial);
-  put(key, params.vfi.anneal.t_final);
-  put(key, params.vfi.anneal.seed);
-  put(key, params.vfi.anneal.restarts);
-
-  // V/F ladder (feeds the VFI point selection).
-  put(key, table.size());
-  for (std::size_t i = 0; i < table.size(); ++i) put(key, table[i]);
-  return key;
-}
-
-}  // namespace
-
 std::shared_ptr<const BuiltPlatform> PlatformCache::get(
     const workload::AppProfile& profile, const PlatformParams& params,
     const power::VfTable& table) {
   const std::string key = platform_key(profile, params, table);
-  std::shared_ptr<Entry> entry;
-  {
-    std::lock_guard<std::mutex> lock{mutex_};
-    auto [it, fresh] = cache_.try_emplace(key);
-    if (fresh) it->second = std::make_shared<Entry>();
-    entry = it->second;
-  }
-
-  // Classify under the entry mutex, where the resolving tier is known
-  // (memory -> disk -> design flow); `misses()` keeps meaning "design flows
-  // actually run".  NVFI platforms skip the disk tier: their construction
-  // has no expensive design to save, and kind is in the key so they can
-  // never collide with a stored VFI design.
-  std::lock_guard<std::mutex> lock{entry->mutex};
-  if (entry->value != nullptr) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return entry->value;
-  }
-  const bool use_store =
-      store_ != nullptr && params.kind != SystemKind::kNvfiMesh;
-  if (use_store) {
+  // NVFI platforms skip the disk tier: their construction has no expensive
+  // design to save, and kind is in the key so they can never collide with
+  // a stored VFI design.
+  store::EvalStore* const st =
+      params.kind != SystemKind::kNvfiMesh ? store_ : nullptr;
+  std::string store_key;  // set by load, reused by save
+  const auto load = [&]() -> std::optional<Platform> {
+    if (st == nullptr) return std::nullopt;
+    store_key = store::domain_key(store::KeyDomain::kPlatformDesign, key);
     std::string bytes;
     vfi::VfiDesign design;
-    if (store_->get(
-            store::domain_key(store::KeyDomain::kPlatformDesign, key),
-            bytes) &&
-        store::decode_vfi_design(bytes, design)) {
-      disk_hits_.fetch_add(1, std::memory_order_relaxed);
-      entry->value = std::make_shared<const BuiltPlatform>(
-          build_platform(profile, params, table, &design));
-      return entry->value;
+    if (!st->get(store_key, bytes) ||
+        !store::decode_vfi_design(bytes, design)) {
+      return std::nullopt;
     }
-    disk_misses_.fetch_add(1, std::memory_order_relaxed);
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  entry->value = std::make_shared<const BuiltPlatform>(
-      build_platform(profile, params, table));
-  if (use_store) {
-    store_->put(store::domain_key(store::KeyDomain::kPlatformDesign, key),
-                store::encode_vfi_design(entry->value->vfi));
-  }
-  return entry->value;
-}
+    return std::make_shared<const BuiltPlatform>(
+        build_platform(profile, params, table, &design));
+  };
+  const auto compute = [&] {
+    return std::make_shared<const BuiltPlatform>(
+        build_platform(profile, params, table));
+  };
+  const auto save = [&](const Platform& built) {
+    if (st != nullptr) st->put(store_key, store::encode_vfi_design(built->vfi));
+  };
+  auto [platform, tier] = cache_.get(key, load, compute, save);
 
-std::size_t PlatformCache::size() const {
-  std::lock_guard<std::mutex> lock{mutex_};
-  return cache_.size();
+  // `misses()` keeps meaning "design flows actually run".
+  if (tier == CacheTier::kMemory) {
+    hits_.fetch_add(1, std::memory_order_relaxed);
+  } else if (tier == CacheTier::kDisk) {
+    disk_hits_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    if (st != nullptr) disk_misses_.fetch_add(1, std::memory_order_relaxed);
+    misses_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return std::move(platform);
 }
 
 NetworkEval evaluate_network(const BuiltPlatform& platform,

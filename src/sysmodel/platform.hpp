@@ -8,12 +8,11 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/matrix.hpp"
+#include "common/once_cache.hpp"
 #include "noc/analytical.hpp"
 #include "noc/network.hpp"
 #include "noc/routing.hpp"
@@ -106,18 +105,12 @@ struct PlatformParams {
   /// "<App> / <System>" (e.g. "Kmeans / VFI WiNoC").
   std::string telemetry_label;
   /// Memoizing NoC-evaluation service (nullable, caller-owned, thread-safe;
-  /// see sysmodel/net_eval.hpp).  When set, FullSystemSim::run routes every
-  /// network evaluation through its content-keyed cache, so identical
-  /// evaluations across phases / systems / sweep entries are simulated
-  /// once.  Null evaluates fresh each time — bit-identical results either
-  /// way.
+  /// sysmodel/net_eval.hpp).  Null evaluates fresh; results are
+  /// bit-identical either way.
   NetworkEvaluator* net_eval = nullptr;
   /// Memoizing platform-construction service (nullable, caller-owned,
-  /// thread-safe; see PlatformCache below).  When set, FullSystemSim::run
-  /// reuses one BuiltPlatform per distinct (profile, design knobs) instead
-  /// of re-running the VFI design flow — by far the most expensive
-  /// fidelity-invariant part of a sweep point — for every evaluation.
-  /// Null builds fresh each time; results are bit-identical either way.
+  /// thread-safe; PlatformCache below).  Null builds fresh; results are
+  /// bit-identical either way.
   PlatformCache* platform_cache = nullptr;
   /// Per-phase injection-window length as a fraction of `sim_cycles`, used
   /// by the phase-resolved pipeline (profiles with per-phase traffic).  The
@@ -143,13 +136,9 @@ struct BuiltPlatform {
   vfi::VfiDesign vfi;   ///< meaningful only when has_vfi
   bool has_vfi = false;
   std::size_t wi_count = 0;
-  /// Lazily-populated memo of analytical NoC models over this platform
-  /// (see noc/analytical.hpp).  A model depends on the platform plus the
-  /// evaluation window / fault schedule — not on the traffic matrix — so
-  /// the phase evaluations of a run (and every sweep point sharing this
-  /// platform through a PlatformCache) reuse one construction.  Held by
-  /// shared_ptr so BuiltPlatform stays movable and the memo follows the
-  /// platform it indexes.
+  /// Memo of analytical NoC models over this platform (noc/analytical.hpp),
+  /// shared by every evaluation on it.  Held by shared_ptr so BuiltPlatform
+  /// stays movable and the memo follows the platform it indexes.
   std::shared_ptr<noc::AnalyticalNocModel::Cache> analytical_models =
       std::make_shared<noc::AnalyticalNocModel::Cache>();
 };
@@ -167,15 +156,13 @@ BuiltPlatform build_platform(const workload::AppProfile& profile,
                              const vfi::VfiDesign* precomputed = nullptr);
 
 /// Memoizing, thread-safe platform-construction service for design-space
-/// sweeps.  Keys are the raw bytes of every input that steers
-/// build_platform: the profile's workload content plus the design knobs
-/// (system kind, placement, small-world and VFI parameters, V/F table).
-/// Fidelity, injection windows, traffic seeds and fault specs deliberately
-/// do NOT enter the key — platform design is invariant under them, which is
-/// what makes one cached platform safe to share across every point of a
-/// sweep axis.  Compute-once under contention: concurrent requests for the
-/// same key block on the first builder (the VFI design flow is ~25x the
-/// cost of a network evaluation, so duplicate builds would dwarf the win).
+/// sweeps: a OnceCache (common/once_cache.hpp) under platform_key
+/// (sysmodel/keys.hpp), which holds only the design inputs — fidelity,
+/// windows, traffic seeds and fault specs do not steer platform design, so
+/// one cached platform is shared across every point of a sweep axis.
+/// Concurrent requests for one key block on the first builder (the VFI
+/// design flow is ~25x the cost of a network evaluation).  DESIGN.md §12,
+/// §16.
 class PlatformCache {
  public:
   /// Returns the platform for (profile, params, table), building it on the
@@ -195,7 +182,7 @@ class PlatformCache {
   void attach_store(store::EvalStore* store) { store_ = store; }
   store::EvalStore* store() const { return store_; }
 
-  std::size_t size() const;
+  std::size_t size() const { return cache_.size(); }
   std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   std::uint64_t misses() const {
     return misses_.load(std::memory_order_relaxed);
@@ -208,12 +195,8 @@ class PlatformCache {
   }
 
  private:
-  struct Entry {
-    std::mutex mutex;
-    std::shared_ptr<const BuiltPlatform> value;
-  };
-  mutable std::mutex mutex_;
-  std::unordered_map<std::string, std::shared_ptr<Entry>> cache_;
+  using Platform = std::shared_ptr<const BuiltPlatform>;
+  OnceCache<Platform> cache_;
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> disk_hits_{0};

@@ -53,18 +53,6 @@ std::vector<SystemReport> run_batch(const FullSystemSim& sim,
                                     const std::vector<BatchRequest>& requests,
                                     std::size_t threads = 0);
 
-/// Content-addressed identity of one comparison sweep point: the raw bytes
-/// of every input that steers compare_systems(profile, sim, base_params) —
-/// the profile's full workload content (utilization, traffic, phase model,
-/// per-phase matrices), every PlatformParams value field (pointers and the
-/// telemetry label excluded: memo services and tracing are proven
-/// bit-identical to their absence), and the simulator's power-model
-/// parameters and V/F ladder.  Equal keys denote the same comparison, so a
-/// stored result under this key is bit-identical to re-running the point.
-std::string comparison_point_key(const workload::AppProfile& profile,
-                                 const FullSystemSim& sim,
-                                 const PlatformParams& base_params);
-
 /// Configuration of an incremental (store-backed) comparison sweep.
 struct IncrementalOptions {
   /// Required.  Point results are looked up / written under
@@ -102,8 +90,8 @@ struct IncrementalSweepResult {
 };
 
 /// Incremental twin of sweep_comparisons: each point is keyed by
-/// comparison_point_key and resolved store-first.  Only points whose inputs
-/// changed (key not in the store) are re-evaluated — in parallel, then
+/// comparison_point_key (sysmodel/keys.hpp) and resolved store-first.
+/// Only points whose inputs changed (key not in the store) are re-evaluated — in parallel, then
 /// written back and flushed — and prior results are merged in input order.
 /// With shard_count > 1 the point list is partitioned round-robin so N
 /// worker processes can populate one store concurrently (segment commits

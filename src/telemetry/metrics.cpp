@@ -1,9 +1,24 @@
 #include "telemetry/metrics.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <stdexcept>
 
 namespace vfimr::telemetry {
+
+namespace {
+
+/// "name.p50" for p = 0.5, "name.p999" for p = 0.999: the percentile's
+/// significant digits without the decimal point.
+std::string quantile_name(const std::string& name, double p) {
+  char digits[32];
+  std::snprintf(digits, sizeof digits, "%g", p * 100.0);
+  std::string suffix{digits};
+  suffix.erase(std::remove(suffix.begin(), suffix.end(), '.'), suffix.end());
+  return name + ".p" + suffix;
+}
+
+}  // namespace
 
 HistogramMetric::HistogramMetric(double lo, double hi, std::size_t bins)
     : lo_{lo}, hi_{hi}, counts_(bins) {
@@ -57,14 +72,15 @@ HistogramMetric& MetricsRegistry::histogram(const std::string& name, double lo,
   return *slot;
 }
 
-QuantileMetric& MetricsRegistry::quantile(const std::string& name, double p) {
+QuantileMetric& MetricsRegistry::quantiles(const std::string& name,
+                                           const std::vector<double>& ps) {
   std::lock_guard lock{mu_};
   auto& slot = quantiles_[name];
   if (!slot) {
-    slot = std::make_unique<QuantileMetric>(p);
-  } else if (slot->p() != p) {
-    throw std::invalid_argument("quantile '" + name +
-                                "' re-registered with different p");
+    slot = std::make_unique<QuantileMetric>(ps);
+  } else if (slot->ps() != ps) {
+    throw std::invalid_argument("quantiles '" + name +
+                                "' re-registered with different targets");
   }
   return *slot;
 }
@@ -105,7 +121,10 @@ json::MetricMap MetricsRegistry::snapshot() const {
   for (const auto& [name, q] : quantiles_) {
     // An empty quantile has no value (NaN); omit it rather than emit a
     // bogus number into the flat JSON.
-    if (q->count() > 0) out[name] = q->value();
+    if (q->count() == 0) continue;
+    for (std::size_t k = 0; k < q->ps().size(); ++k) {
+      out[quantile_name(name, q->ps()[k])] = q->value(k);
+    }
   }
   for (const auto& [name, ts] : timeseries_) {
     out[name + ".samples"] = static_cast<double>(ts->samples());
@@ -139,7 +158,10 @@ TextTable MetricsRegistry::summary_table() const {
     }
   }
   for (const auto& [name, q] : quantiles_) {
-    rows[name] = q->count() > 0 ? fmt(q->value(), 6) : "n/a";
+    for (std::size_t k = 0; k < q->ps().size(); ++k) {
+      rows[quantile_name(name, q->ps()[k])] =
+          q->count() > 0 ? fmt(q->value(k), 6) : "n/a";
+    }
   }
   for (const auto& [name, ts] : timeseries_) {
     rows[name + ".samples"] = fmt(static_cast<double>(ts->samples()), 6);

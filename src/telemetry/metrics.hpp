@@ -80,34 +80,38 @@ class HistogramMetric {
   std::atomic<double> sum_{0.0};
 };
 
-/// Streaming quantile (P² estimator, common/stats.hpp) behind a mutex: the
-/// cluster serving tier tracks p50/p99/p999 job latency without storing
-/// samples or knowing the range up front.  Unlike the lock-free instruments
-/// above, adds serialize on the mutex; keep it off per-flit hot paths and
-/// reserve it for per-job-scale events.
+/// Streaming quantiles (one shared-marker P² estimator, common/stats.hpp)
+/// behind a mutex: the cluster serving tier tracks p50/p99/p999 job latency
+/// without storing samples or knowing the range up front.  The targets
+/// share markers, so every snapshot reports them in order.  Unlike the
+/// lock-free instruments above, adds serialize on the mutex; keep it off
+/// per-flit hot paths and reserve it for per-job-scale events.
 class QuantileMetric {
  public:
-  explicit QuantileMetric(double p) : q_{p} {}
+  explicit QuantileMetric(std::vector<double> ps)
+      : ps_{ps}, q_{std::move(ps)} {}
 
   void add(double x) {
     std::lock_guard lock{mu_};
     q_.add(x);
   }
-  double p() const { return q_.p(); }
+  const std::vector<double>& ps() const { return ps_; }
   std::uint64_t count() const {
     std::lock_guard lock{mu_};
     return q_.count();
   }
-  /// NaN before the first sample (see P2Quantile::value) — snapshot() skips
-  /// empty quantiles so NaN never leaks into the flat metric JSON.
-  double value() const {
+  /// Estimate of target ps()[k]; NaN before the first sample (see
+  /// P2Quantiles::value) — snapshot() skips empty quantiles so NaN never
+  /// leaks into the flat metric JSON.
+  double value(std::size_t k) const {
     std::lock_guard lock{mu_};
-    return q_.value();
+    return q_.value(k);
   }
 
  private:
+  const std::vector<double> ps_;
   mutable std::mutex mu_;
-  P2Quantile q_;
+  P2Quantiles q_;
 };
 
 /// Name -> instrument map.  Lookup/creation takes a mutex; call sites cache
@@ -122,9 +126,11 @@ class MetricsRegistry {
   /// merged data).
   HistogramMetric& histogram(const std::string& name, double lo, double hi,
                              std::size_t bins);
-  /// Creates on first use; later calls must repeat the same p
-  /// (std::invalid_argument otherwise).
-  QuantileMetric& quantile(const std::string& name, double p);
+  /// Creates on first use; later calls must repeat the same targets
+  /// (std::invalid_argument otherwise).  Target p is reported as
+  /// `name.p<percentile digits>`: name.p50, name.p99, name.p999.
+  QuantileMetric& quantiles(const std::string& name,
+                            const std::vector<double>& ps);
   /// Windowed epoch rollups over simulated seconds; later calls must repeat
   /// the same epoch width (std::invalid_argument otherwise).
   TimeSeries& timeseries(const std::string& name, double epoch_s);
@@ -132,8 +138,8 @@ class MetricsRegistry {
   /// Flat metric map: counters/gauges by name; histograms expand into
   /// name.count / name.mean / name.p50 / name.p95 / name.p99 (the derived
   /// stats are omitted while empty — an absent metric, not a fake zero);
-  /// quantile instruments report their estimate under their own name
-  /// (likewise omitted while empty); time series expand into name.samples /
+  /// quantile instruments report one estimate per target (likewise
+  /// omitted while empty); time series expand into name.samples /
   /// name.epochs.
   json::MetricMap snapshot() const;
 

@@ -14,6 +14,7 @@
 
 #include <array>
 
+#include "noc/analytical.hpp"
 #include "sysmodel/net_eval.hpp"
 #include "sysmodel/system_sim.hpp"
 #include "workload/profile.hpp"
@@ -281,6 +282,46 @@ TEST(NetEval, FidelityBandIsPartOfTheCacheKey) {
   expect_identical(auto_hit, analytical);
   EXPECT_EQ(evaluator.stats().analytical_hits, 2u);
   EXPECT_EQ(evaluator.size(), 2u);
+}
+
+TEST(NetEval, AnalyticalBandHonoursTheRetryLadder) {
+  // Regression: evaluate_network_analytical built its model with the
+  // AnalyticalConfig defaults (8 retries, base 8 cycles) whatever noc_sim
+  // asked for, so the analytical band ignored the caller's retry ladder
+  // while the cycle band honoured it.
+  const auto profile = workload::make_profile(workload::App::kWC);
+  const FullSystemSim sim;
+  PlatformParams params = small_params(SystemKind::kNvfiMesh);
+  params.fidelity = Fidelity::kAnalytical;
+  // A transient outage of a central router: the default ladder's budget
+  // (8 x 255 cycles) outlasts it, a 2-retry / 4-cycle ladder does not.
+  params.noc_sim.faults.add({faults::NocFaultKind::kRouter, 27, 500, 1400});
+  params.noc_sim.fault_max_retries = 2;
+  params.noc_sim.fault_backoff_base_cycles = 4;
+  const BuiltPlatform built = build_platform(profile, params, sim.vf_table());
+
+  const auto direct = [&](std::uint32_t retries, std::uint32_t base) {
+    noc::AnalyticalConfig cfg;
+    cfg.sim_cycles = params.sim_cycles;
+    cfg.faults = params.noc_sim.faults;
+    cfg.fault_max_retries = retries;
+    cfg.fault_backoff_base_cycles = base;
+    return noc::AnalyticalNocModel{built.topology, *built.routing,
+                                   built.wireless, cfg}
+        .evaluate(built.node_traffic, profile.packet_flits);
+  };
+  const noc::Metrics custom = direct(2, 4);
+  const noc::Metrics defaults = direct(8, 8);
+  ASSERT_NE(custom.packets_lost, defaults.packets_lost);
+
+  const NetworkEval eval = evaluate_network_analytical(
+      built, built.node_traffic, profile.packet_flits, params,
+      sim.models().noc);
+  EXPECT_EQ(eval.metrics.packets_lost, custom.packets_lost);
+  EXPECT_EQ(eval.metrics.flits_lost, custom.flits_lost);
+  EXPECT_EQ(eval.metrics.packets_ejected, custom.packets_ejected);
+  EXPECT_EQ(eval.metrics.flits_ejected, custom.flits_ejected);
+  EXPECT_EQ(eval.metrics.avg_latency(), custom.avg_latency());
 }
 
 }  // namespace

@@ -4,18 +4,27 @@
 // Engine — with high worker counts and adversarial task-size skew, and are
 // meant to run under ThreadSanitizer (cmake --preset tsan && ctest --preset
 // tsan-tier2).  They also run in the plain tier-1 suite as cheap smoke
-// coverage of the same invariants.
+// coverage of the same invariants.  The last case drives the three
+// OnceCache users (NetworkEvaluator, PlatformCache, a platform's
+// analytical-model memo) with one key requested by many threads at once.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <latch>
 #include <map>
+#include <memory>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "mapreduce/engine.hpp"
 #include "mapreduce/scheduler.hpp"
+#include "sysmodel/keys.hpp"
+#include "sysmodel/net_eval.hpp"
+#include "sysmodel/system_sim.hpp"
+#include "workload/profile.hpp"
 
 namespace vfimr::mr {
 namespace {
@@ -162,3 +171,92 @@ TEST(StressEngine, RepeatedRunsAreStableUnderContention) {
 
 }  // namespace
 }  // namespace vfimr::mr
+
+namespace vfimr::sysmodel {
+namespace {
+
+/// Runs fn(t) on `threads` threads released together, so every thread
+/// requests its key while the first computation is still in flight.
+template <typename Fn>
+void run_together(std::size_t threads, Fn fn) {
+  std::latch start{static_cast<std::ptrdiff_t>(threads)};
+  std::vector<std::thread> pool;
+  for (std::size_t t = 0; t < threads; ++t) {
+    pool.emplace_back([&, t] {
+      start.arrive_and_wait();
+      fn(t);
+    });
+  }
+  for (std::thread& th : pool) th.join();
+}
+
+TEST(StressOnceCache, ContendedKeyIsComputedOnceByEveryUser) {
+  constexpr std::size_t kThreads = 8;
+  const FullSystemSim sim;
+  const auto profile = workload::make_profile(workload::App::kHist);
+  PlatformParams params;
+  params.kind = SystemKind::kVfiMesh;
+  params.vfi.anneal.iterations = 20'000;
+  params.sim_cycles = 2'000;
+  params.drain_cycles = 20'000;
+
+  PlatformCache platforms;
+  std::vector<std::shared_ptr<const BuiltPlatform>> built(kThreads);
+  run_together(kThreads, [&](std::size_t t) {
+    built[t] = platforms.get(profile, params, sim.vf_table());
+  });
+  EXPECT_EQ(platforms.misses(), 1u);
+  EXPECT_EQ(platforms.hits(), kThreads - 1);
+  EXPECT_EQ(platforms.size(), 1u);
+  for (const auto& p : built) EXPECT_EQ(p, built.front());
+  const BuiltPlatform& platform = *built.front();
+
+  NetworkEvaluator evaluator;
+  std::vector<NetworkEval> evals(kThreads);
+  run_together(kThreads, [&](std::size_t t) {
+    evals[t] = evaluator.evaluate(platform, platform.node_traffic,
+                                  profile.packet_flits, params,
+                                  sim.models().noc);
+  });
+  EXPECT_EQ(evaluator.stats().cycle_misses, 1u);
+  EXPECT_EQ(evaluator.stats().cycle_hits, kThreads - 1);
+  EXPECT_EQ(evaluator.size(), 1u);
+  for (const NetworkEval& e : evals) {
+    EXPECT_EQ(e.avg_latency_cycles, evals.front().avg_latency_cycles);
+  }
+
+  // The analytical memo, reached through the evaluation path...
+  params.fidelity = Fidelity::kAnalytical;
+  run_together(kThreads, [&](std::size_t t) {
+    evals[t] = evaluate_network_analytical(platform, platform.node_traffic,
+                                           profile.packet_flits, params,
+                                           sim.models().noc);
+  });
+  EXPECT_EQ(platform.analytical_models->size(), 1u);
+  for (const NetworkEval& e : evals) {
+    EXPECT_EQ(e.avg_latency_cycles, evals.front().avg_latency_cycles);
+  }
+  // ...and probed directly with a counting constructor on a fresh key.
+  noc::AnalyticalConfig cfg;
+  cfg.sim_cycles = 1'234;
+  std::atomic<int> constructed{0};
+  std::vector<std::shared_ptr<const noc::AnalyticalNocModel>> models(kThreads);
+  run_together(kThreads, [&](std::size_t t) {
+    models[t] = platform.analytical_models
+                    ->get(analytical_model_key(cfg),
+                          [&] {
+                            constructed.fetch_add(1);
+                            return std::make_shared<
+                                const noc::AnalyticalNocModel>(
+                                platform.topology, *platform.routing,
+                                platform.wireless, cfg);
+                          })
+                    .value;
+  });
+  EXPECT_EQ(constructed.load(), 1);
+  EXPECT_EQ(platform.analytical_models->size(), 2u);
+  for (const auto& m : models) EXPECT_EQ(m, models.front());
+}
+
+}  // namespace
+}  // namespace vfimr::sysmodel

@@ -67,9 +67,9 @@ TEST(Metrics, EmptyInstrumentsPrintNaInSummary) {
   // flat snapshot must omit the derived keys entirely.
   MetricsRegistry reg;
   reg.histogram("empty.hist", 0.0, 1.0, 4);
-  reg.quantile("empty.q", 0.99);
+  reg.quantiles("empty.q", {0.99});
   reg.histogram("full.hist", 0.0, 4.0, 4).add(2.0);
-  reg.quantile("full.q", 0.5).add(3.0);
+  reg.quantiles("full.q", {0.5}).add(3.0);
 
   const std::string text = reg.summary_table().to_string();
   EXPECT_NE(text.find("n/a"), std::string::npos);
@@ -82,9 +82,9 @@ TEST(Metrics, EmptyInstrumentsPrintNaInSummary) {
   EXPECT_EQ(m.at("empty.hist.count"), 0.0);
   EXPECT_FALSE(m.count("empty.hist.mean"));
   EXPECT_FALSE(m.count("empty.hist.p50"));
-  EXPECT_FALSE(m.count("empty.q"));
+  EXPECT_FALSE(m.count("empty.q.p99"));
   EXPECT_TRUE(m.count("full.hist.mean"));
-  EXPECT_EQ(m.at("full.q"), 3.0);
+  EXPECT_EQ(m.at("full.q.p50"), 3.0);
 }
 
 TEST(Metrics, CountersAreThreadSafe) {
